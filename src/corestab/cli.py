@@ -44,6 +44,8 @@ def _threads():
     try:
         return max(1, int(raw))
     except ValueError:
+        log.warning("COREstab_THREADS=%r is not an integer; using 1 thread",
+                    raw)
         return 1
 
 

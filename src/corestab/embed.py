@@ -256,20 +256,28 @@ def line_negative_gradient(u_i, u_negs, mask=None):
     return g_i, g_negs
 
 
-def line_gradients(u_i, u_j, negatives):
-    """Per-edge gradient triple (du_i, du_j, du_negs) of the sampled objective.
-
-    The objective for one drawn edge is
-    -log sigma(u_i . u_j) - sum_k log sigma(-u_i . u_k).
+def scatter_add(emb, rows, updates):
+    """``emb[rows] += updates`` with repeated rows accumulated, as one sparse
+    one-hot product; each row's updates are summed before the add.
     """
-    u_i = np.asarray(u_i, dtype=np.float64)
-    u_j = np.asarray(u_j, dtype=np.float64)
-    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if u_i.shape != u_j.shape or negs.shape[-1] != u_i.shape[-1]:
-        raise ValueError("dimension mismatch")
-    g_i_pos, g_j = line_positive_gradient(u_i, u_j)
-    g_i_neg, g_negs = line_negative_gradient(u_i, negs)
-    return g_i_pos + g_i_neg, g_j, g_negs
+    k = len(rows)
+    onehot = sp.csc_matrix((np.ones(k), rows, np.arange(k + 1)),
+                           shape=(emb.shape[0], k))
+    emb += onehot @ updates
+
+
+def _line_step(emb, src, ctx, negs, lr):
+    """One SGD step on edges (src, ctx) and noise rows ``negs``: every
+    gradient reads the rows before the step (Hogwild-style), one scatter
+    applies them, and noise draws that hit an edge endpoint are masked.
+    """
+    mask = (negs != src[:, None]) & (negs != ctx[:, None])
+    u_i = emb[src]
+    g_i_pos, g_j = line_positive_gradient(u_i, emb[ctx])
+    g_i_neg, g_negs = line_negative_gradient(u_i, emb[negs], mask)
+    scatter_add(emb, np.concatenate([src, ctx, negs.reshape(-1)]),
+                -lr * np.concatenate([g_i_pos + g_i_neg, g_j,
+                                      g_negs.reshape(-1, emb.shape[1])]))
 
 
 def line1_embed(g, spec):
@@ -298,15 +306,8 @@ def line1_embed(g, spec):
         src = np.where(flip, g.edges[eidx, 1], g.edges[eidx, 0])
         ctx = np.where(flip, g.edges[eidx, 0], g.edges[eidx, 1])
         for lo in range(0, m, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, m))
-            i_c, j_c, neg_c = src[sl], ctx[sl], negs[sl]
-            mask = (neg_c != i_c[:, None]) & (neg_c != j_c[:, None])
-            u_i, u_j, u_n = emb[i_c], emb[j_c], emb[neg_c]
-            g_i_pos, g_j = line_positive_gradient(u_i, u_j)
-            g_i_neg, g_negs = line_negative_gradient(u_i, u_n, mask)
-            np.add.at(emb, i_c, -lr_t * (g_i_pos + g_i_neg))
-            np.add.at(emb, j_c, -lr_t * g_j)
-            np.add.at(emb, neg_c.reshape(-1), -lr_t * g_negs.reshape(-1, dim))
+            sl = slice(lo, lo + _CHUNK)
+            _line_step(emb, src[sl], ctx[sl], negs[sl], lr_t)
     return emb
 
 

@@ -75,11 +75,10 @@ class Graph:
 
     @property
     def weighted_degrees(self):
-        d = np.zeros(self.n)
-        if self.m:
-            np.add.at(d, self.edges[:, 0], self.weights)
-            np.add.at(d, self.edges[:, 1], self.weights)
-        return d
+        # bincount returns integers when there are no edges
+        d = np.bincount(self.edges.T.ravel(), np.tile(self.weights, 2),
+                        minlength=self.n)
+        return d.astype(np.float64, copy=False)
 
     def adjacency(self):
         """CSR-style (indptr, neighbors, edge_weights); neighbor lists sorted."""
@@ -287,9 +286,8 @@ def subgraph_features(g):
             sa, sb = sb, sa
         tri_edge[e] = sum(1 for x in sa if x in sb)
     # triangles incident to a node = half the sum of its edges' triangle counts
-    tri_node2 = np.zeros(n, dtype=np.int64)
-    np.add.at(tri_node2, g.edges[:, 0], tri_edge)
-    np.add.at(tri_node2, g.edges[:, 1], tri_edge)
+    tri_node2 = np.bincount(g.edges.T.ravel(), np.tile(tri_edge, 2),
+                            minlength=n)
     deg = g.degrees
     with np.errstate(divide="ignore", invalid="ignore"):
         local = np.where(deg >= 2, tri_node2 / (deg * (deg - 1.0)), 0.0)

@@ -204,7 +204,7 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
                          embedder=embedder_meta, records=records,
                          distributions=distributions)
     if failure is not None:
-        raise ShareEmbedderError(failure[0], report, failure[1])
+        raise ShareEmbedderError(failure[0], report, failure[1]) from failure[1]
     return report
 
 

@@ -15,15 +15,14 @@ import numpy as np
 from scipy.special import expit
 
 from ._util import derive_seed
-from .embed import (LAPLACIAN_EIGENMAPS, LINE1, AliasTable, EmbedSpec,
-                    embed_graph, line_base_loss, line_negative_gradient,
-                    line_positive_gradient)
+from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
+                    EmbedSpec, _line_step, embed_graph, line_base_loss,
+                    scatter_add)
 from .graph import Graph, core_decomposition
 
 log = logging.getLogger(__name__)
 
 _DOT_CLIP = 35.0
-_CHUNK = 4096
 
 
 class TrainingDivergence(RuntimeError):
@@ -130,6 +129,12 @@ def isolated_core_embedding(g, cm, spec):
     return embed_graph(g.induced_subgraph(core), spec)
 
 
+def stability_coefficient(u_i, u_j, s_hat):
+    """Penalty gradient scale s (1 - s) (s - s_hat), s = sigma(u_i.u_j)."""
+    s = _clipped_sigmoid_rows(u_i, u_j)
+    return s * (1.0 - s) * (s - s_hat)
+
+
 def stability_gradient(u_i, u_j, u_hat_i, u_hat_j):
     """Penalty gradient direction for u_i, constants dropped:
     sigma(u_i.u_j) [1 - sigma(u_i.u_j)] [sigma(u_i.u_j) - sigma(u_hat_i.u_hat_j)] u_j
@@ -140,9 +145,8 @@ def stability_gradient(u_i, u_j, u_hat_i, u_hat_j):
     u_hat_j = np.asarray(u_hat_j, dtype=np.float64)
     if not (u_i.shape == u_j.shape == u_hat_i.shape == u_hat_j.shape):
         raise ValueError("dimension mismatch")
-    s = _clipped_sigmoid_rows(u_i, u_j)
     s_hat = _clipped_sigmoid_rows(u_hat_i, u_hat_j)
-    return (s * (1.0 - s) * (s - s_hat))[..., None] * u_j
+    return stability_coefficient(u_i, u_j, s_hat)[..., None] * u_j
 
 
 def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
@@ -264,7 +268,7 @@ def stable_train(g, cfg, batches=None):
     aug = degenerate_clique_augment(g, core)
     edges, weights = aug.edges, aug.weights
     m_aug = aug.m
-    n, dim = g.n, cfg.dim
+    n = g.n
 
     in_core = np.zeros(n, dtype=bool)
     in_core[core] = True
@@ -307,34 +311,25 @@ def stable_train(g, cfg, batches=None):
                     take = slice(real_cursor, real_cursor + i_r.size)
                     real_cursor += i_r.size
                     fl = flip[take]
-                    neg_c = negs[take]
-                    src = np.where(fl, j_r, i_r)
-                    ctx = np.where(fl, i_r, j_r)
-                    mask = (neg_c != src[:, None]) & (neg_c != ctx[:, None])
-                    u_i, u_j, u_n = emb[src], emb[ctx], emb[neg_c]
-                    g_i_pos, g_j = line_positive_gradient(u_i, u_j)
-                    g_i_neg, g_negs = line_negative_gradient(u_i, u_n, mask)
-                    np.add.at(emb, src, -lr_t * (g_i_pos + g_i_neg))
-                    np.add.at(emb, ctx, -lr_t * g_j)
-                    np.add.at(emb, neg_c.reshape(-1),
-                              -lr_t * g_negs.reshape(-1, dim))
+                    _line_step(emb, np.where(fl, j_r, i_r),
+                               np.where(fl, i_r, j_r), negs[take], lr_t)
                 else:
                     w_r = weights[chunk][real_c]
                     u_i, u_j = emb[i_r], emb[j_r]
                     a_i, a_j = init[i_r], init[j_r]
                     g_i = le_base_gradient(u_i, u_j, a_i, w_r, cfg.gamma, cfg.beta)
                     g_j = le_base_gradient(u_j, u_i, a_j, w_r, cfg.gamma, cfg.beta)
-                    np.add.at(emb, i_r, -lr_t * g_i)
-                    np.add.at(emb, j_r, -lr_t * g_j)
+                    scatter_add(emb, np.concatenate([i_r, j_r]),
+                                -lr_t * np.concatenate([g_i, g_j]))
+            # the penalty reads the rows the base step above just wrote
             core_c = core_edge[chunk]
             if cfg.alpha > 0 and core_c.any():
                 c_i, c_j = i0[core_c], j0[core_c]
                 u_i, u_j = emb[c_i], emb[c_j]
-                s = _clipped_sigmoid_rows(u_i, u_j)
-                coef = s * (1.0 - s) * (s - ref_prox[chunk][core_c])
-                step = lr_t * cfg.alpha
-                np.add.at(emb, c_i, -step * coef[:, None] * u_j)
-                np.add.at(emb, c_j, -step * coef[:, None] * u_i)
+                coef = (-lr_t * cfg.alpha * stability_coefficient(
+                    u_i, u_j, ref_prox[chunk][core_c]))[:, None]
+                scatter_add(emb, np.concatenate([c_i, c_j]),
+                            np.concatenate([coef * u_j, coef * u_i]))
         if is_line:
             base_loss[t] = line_base_loss(g, emb)
         else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corestab.embed import line_negative_gradient, line_positive_gradient
 from corestab.graph import Graph
 
 # Zachary karate club, 34 nodes, 78 edges (1-indexed as usually published)
@@ -119,3 +120,27 @@ def random_er(rng, n, p):
     i, j = np.triu_indices(n, 1)
     keep = rng.random(len(i)) < p
     return Graph(n, np.column_stack([i[keep], j[keep]]))
+
+
+def line_gradients(u_i, u_j, negatives):
+    """Per-edge gradient triple (du_i, du_j, du_negs) of the sampled objective.
+
+    Composes the two gradient functions the SGD step calls; the objective for
+    one drawn edge is -log sigma(u_i . u_j) - sum_k log sigma(-u_i . u_k).
+    """
+    u_i = np.asarray(u_i, dtype=np.float64)
+    u_j = np.asarray(u_j, dtype=np.float64)
+    negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if u_i.shape != u_j.shape or negs.shape[-1] != u_i.shape[-1]:
+        raise ValueError("dimension mismatch")
+    g_i_pos, g_j = line_positive_gradient(u_i, u_j)
+    g_i_neg, g_negs = line_negative_gradient(u_i, negs)
+    return g_i_pos + g_i_neg, g_j, g_negs
+
+
+def add_at_oracle(n, rows, updates):
+    """``np.add.at`` of ``updates`` at ``rows`` into zeros with n rows."""
+    updates = np.asarray(updates)
+    out = np.zeros((n,) + updates.shape[1:], dtype=updates.dtype)
+    np.add.at(out, rows, updates)
+    return out

@@ -17,7 +17,7 @@ import corestab as cs
 from corestab._util import derive_seed
 from corestab.embed import (EmbedSpec, clique_rw_spectrum,
                             clique_spectrum_numeric, embed_graph,
-                            line_gradients, save_embedding_csv)
+                            save_embedding_csv)
 from corestab.evaluation import (evaluate, make_split,
                                  stability_error_distribution)
 from corestab.graph import core_decomposition, load_edge_list
@@ -28,7 +28,8 @@ from corestab.stable import (StableConfig, le_base_gradient,
                              stability_gradient, stable_train)
 from corestab.synth import GenSpec, desk_graph, generate
 
-from conftest import central_difference, emd_lp, naive_coreness, random_er
+from conftest import (central_difference, emd_lp, line_gradients,
+                      naive_coreness, random_er)
 
 SEEDS = (0, 1, 2)
 

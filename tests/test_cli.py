@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from corestab.cli import main
+from corestab.cli import _threads, main
 from corestab.embed import save_embedding_csv
 
 from conftest import KARATE_EDGES
@@ -142,6 +142,34 @@ class TestShare:
         report = json.load(open(os.path.join(out, "share_report.json")))
         assert report["partial"] is True
         assert report["failed_k"] == 2
+
+    def test_external_missing_file_logs_cause(self, tmp_path, caplog):
+        graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        save_embedding_csv(ext / "embeddings_k0.csv",
+                           np.zeros((4, 2)), [0, 1, 2, 3])
+        with caplog.at_level("ERROR"):
+            code = main(["share", "--graph", graph, "--external-embeddings",
+                         str(ext), "--out", str(tmp_path / "o")])
+        assert code == 4
+        failed = [r.getMessage() for r in caplog.records
+                  if "embedder failed at k=1" in r.getMessage()]
+        assert failed and "embeddings_k1.csv" in failed[0]
+
+
+class TestThreads:
+    def test_malformed_value_warns_and_uses_one(self, monkeypatch, caplog):
+        monkeypatch.setenv("COREstab_THREADS", "two")
+        with caplog.at_level("WARNING", logger="corestab"):
+            assert _threads() == 1
+        assert any("'two'" in r.getMessage() for r in caplog.records)
+
+    def test_valid_value_is_silent(self, monkeypatch, caplog):
+        monkeypatch.setenv("COREstab_THREADS", "3")
+        with caplog.at_level("WARNING", logger="corestab"):
+            assert _threads() == 3
+        assert not caplog.records
 
 
 class TestStable:

@@ -5,13 +5,16 @@ from scipy.special import expit
 from corestab.embed import (AliasTable, EmbedSpec, clique_rw_spectrum,
                             clique_spectrum_numeric,
                             clique_spectrum_shift_oracle, cluster_eigenvalues,
-                            laplacian_eigenmaps, line1_embed, line_gradients,
+                            _line_step, laplacian_eigenmaps, line1_embed,
+                            line_negative_gradient, line_positive_gradient,
                             load_embedding_binary, load_embedding_csv,
                             rw_normalized_laplacian, save_embedding_binary,
-                            save_embedding_csv, sigmoid_proximity)
+                            save_embedding_csv, scatter_add,
+                            sigmoid_proximity)
 from corestab.graph import Graph, complete_graph
 
-from conftest import central_difference, random_er
+from conftest import (add_at_oracle, central_difference, line_gradients,
+                      random_er)
 
 
 class TestSigmoidProximity:
@@ -249,6 +252,50 @@ class TestLineGradients:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             line_gradients(np.zeros(2), np.zeros(3), np.zeros((1, 2)))
+
+
+class TestScatterAdd:
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_repeated_rows_match_add_at(self, shape):
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 4, size=3000)  # ~750 hits per row
+        upd = rng.normal(size=(3000,) + shape)
+        base = rng.normal(size=(7,) + shape)
+        emb = base.copy()
+        scatter_add(emb, rows, upd)
+        assert np.allclose(emb, base + add_at_oracle(7, rows, upd),
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(emb[4:], base[4:])
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_single_row(self, shape):
+        rng = np.random.default_rng(9)
+        upd = rng.normal(size=(1,) + shape)
+        emb = np.zeros((2,) + shape)
+        scatter_add(emb, np.array([1]), upd)
+        assert np.array_equal(emb, add_at_oracle(2, [1], upd))
+
+
+class TestLineStep:
+    def test_matches_sequential_add_at_step(self):
+        rng = np.random.default_rng(10)
+        n, dim, b, neg = 12, 4, 500, 5
+        emb = rng.normal(size=(n, dim))
+        src = rng.integers(0, n, size=b)
+        ctx = (src + rng.integers(1, n, size=b)) % n
+        negs = rng.integers(0, n, size=(b, neg))
+        lr = 0.05
+        # reference: the gradients on the pre-step rows, applied by add.at
+        mask = (negs != src[:, None]) & (negs != ctx[:, None])
+        u_i, u_j, u_n = emb[src], emb[ctx], emb[negs]
+        g_i_pos, g_j = line_positive_gradient(u_i, u_j)
+        g_i_neg, g_negs = line_negative_gradient(u_i, u_n, mask)
+        want = emb.copy()
+        np.add.at(want, src, -lr * (g_i_pos + g_i_neg))
+        np.add.at(want, ctx, -lr * g_j)
+        np.add.at(want, negs.reshape(-1), -lr * g_negs.reshape(-1, dim))
+        _line_step(emb, src, ctx, negs, lr)
+        assert np.allclose(emb, want, rtol=0, atol=1e-12)
 
 
 class TestAliasTable:

@@ -5,7 +5,7 @@ from corestab.graph import (Graph, GraphParseError, complete_graph,
                             core_completeness, core_decomposition,
                             k_core_subgraph, load_edge_list, subgraph_features)
 
-from conftest import naive_coreness, random_er
+from conftest import add_at_oracle, naive_coreness, random_er
 
 
 def write(tmp_path, text):
@@ -64,6 +64,18 @@ class TestGraph:
     def test_neighbors_symmetric(self):
         g = Graph(3, [[0, 1], [1, 2]])
         assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
+
+    def test_weighted_degrees_match_add_at_exactly(self):
+        rng = np.random.default_rng(3)
+        g = random_er(rng, 60, 0.2)
+        g = Graph(g.n, g.edges, rng.exponential(size=g.m))
+        want = add_at_oracle(g.n, g.edges[:, 0], g.weights)
+        np.add.at(want, g.edges[:, 1], g.weights)
+        assert np.array_equal(g.weighted_degrees, want)
+
+    def test_weighted_degrees_without_edges(self):
+        d = Graph(3, np.zeros((0, 2))).weighted_degrees
+        assert d.dtype == np.float64 and np.array_equal(d, np.zeros(3))
 
     def test_induced_subgraph_keeps_orig_ids(self):
         g = Graph(4, [[0, 1], [1, 2], [2, 3]], orig_ids=[10, 11, 12, 13])

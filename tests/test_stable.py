@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import corestab.stable as stable_mod
 from corestab.embed import EmbedSpec, embed_graph, sigmoid_proximity
 from corestab.graph import Graph, complete_graph, core_decomposition
 from corestab.stable import (StableConfig, TrainingDivergence,
@@ -90,6 +91,27 @@ class TestStabilityGradient:
             # analytic expression omits the constant factor 2
             analytic = 2.0 * stability_gradient(u_i, u_j, h_i, h_j)
             assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)
+
+    def test_trainer_uses_the_same_coefficient(self, monkeypatch):
+        # both the finite-difference-checked gradient and the training loop
+        # must reach the penalty through stability_coefficient
+        calls = []
+        real = stable_mod.stability_coefficient
+
+        def spy(u_i, u_j, s_hat):
+            calls.append(len(np.atleast_1d(s_hat)))
+            return real(u_i, u_j, s_hat)
+
+        monkeypatch.setattr(stable_mod, "stability_coefficient", spy)
+        rng = np.random.default_rng(5)
+        u_i, u_j, h_i, h_j = rng.normal(size=(4, 6, 3))
+        got = stability_gradient(u_i, u_j, h_i, h_j)
+        s_hat = expit(np.einsum("ed,ed->e", h_i, h_j))
+        assert np.allclose(got, real(u_i, u_j, s_hat)[:, None] * u_j)
+        assert calls == [6]
+        stable_train(desk_graph(), StableConfig.for_base(
+            "line1", dim=3, batches=2, seed=0))
+        assert len(calls) > 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
