@@ -5,6 +5,11 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
+# rows per piece of a float column written by write_atomic
+_PIECE_ROWS = 1 << 14
+
 
 def derive_seed(*parts):
     """Derive a reproducible 63-bit seed from a base seed and labels.
@@ -22,28 +27,21 @@ def json_dumps_stable(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_text_atomic(path, text):
-    """Write text via a temp file + rename so readers never see partial output."""
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_atomic(path, pieces):
+    """Write via a temp file + rename so readers never see partial output.
 
-
-def write_bytes_atomic(path, data):
+    ``pieces`` is one str or bytes, or an iterable of them written in order
+    (str as UTF-8), so a large file need not be one string in memory.
+    """
     path = os.fspath(path)
+    if isinstance(pieces, (str, bytes)):
+        pieces = (pieces,)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece.encode() if isinstance(piece, str) else piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,3 +60,13 @@ def sha256_file(path):
 def fmt_float(x):
     """Shortest round-trip decimal form; keeps CSV output byte-reproducible."""
     return repr(float(x))
+
+
+def float_column(header, values):
+    """A one-column CSV (header, then one ``fmt_float`` per line) as pieces
+    of at most ``_PIECE_ROWS`` lines each, for ``write_atomic``."""
+    values = np.asarray(values, dtype=np.float64)
+    yield header + "\n"
+    for lo in range(0, len(values), _PIECE_ROWS):
+        yield "".join(fmt_float(x) + "\n"
+                      for x in values[lo:lo + _PIECE_ROWS].tolist())

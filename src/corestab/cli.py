@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from ._util import (fmt_float, json_dumps_stable, sha256_file,
-                    write_text_atomic)
+from ._util import (float_column, fmt_float, json_dumps_stable, sha256_file,
+                    write_atomic)
 from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
@@ -64,8 +64,8 @@ def _write_manifest(out_dir, command, config, seed, inputs, started):
         "tool_version": __version__,
         "wall_time_s": time.time() - started,
     }
-    write_text_atomic(os.path.join(out_dir, "manifest.json"),
-                      json_dumps_stable(manifest))
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 json_dumps_stable(manifest))
 
 
 def cmd_kcore(args):
@@ -77,8 +77,8 @@ def cmd_kcore(args):
     lines = ["node_id,coreness"]
     for v in range(g.n):
         lines.append(f"{int(g.orig_ids[v])},{int(cm.coreness[v])}")
-    write_text_atomic(os.path.join(args.out, "coreness.csv"),
-                      "\n".join(lines) + "\n")
+    write_atomic(os.path.join(args.out, "coreness.csv"),
+                 "\n".join(lines) + "\n")
 
     completeness = None
     if len(cm.degenerate_core) >= 2:
@@ -91,8 +91,8 @@ def cmd_kcore(args):
         "degenerate_core": [int(g.orig_ids[v]) for v in cm.degenerate_core],
         "core_completeness": completeness,
     }
-    write_text_atomic(os.path.join(args.out, "kcore_summary.json"),
-                      json_dumps_stable(summary))
+    write_atomic(os.path.join(args.out, "kcore_summary.json"),
+                 json_dumps_stable(summary))
 
     rows = ["k,size,edge_density,avg_clustering_coefficient,transitivity"]
     ks = sorted(set([0] + [int(k) for k in np.unique(cm.coreness) if k > 0]))
@@ -101,11 +101,21 @@ def cmd_kcore(args):
         rows.append(",".join([str(k), str(f.size), fmt_float(f.edge_density),
                               fmt_float(f.avg_clustering_coefficient),
                               fmt_float(f.transitivity)]))
-    write_text_atomic(os.path.join(args.out, "core_features.csv"),
-                      "\n".join(rows) + "\n")
+    write_atomic(os.path.join(args.out, "core_features.csv"),
+                 "\n".join(rows) + "\n")
     _write_manifest(args.out, "kcore", {"graph": args.graph}, None,
                     [args.graph], started)
     return EXIT_OK
+
+
+def _load_embedding_rows(path, orig_ids):
+    """Rows of the embedding CSV at ``path`` in ``orig_ids`` order."""
+    ids, emb = load_embedding_csv(path)
+    lookup = {int(i): r for r, i in enumerate(ids)}
+    try:
+        return emb[[lookup[int(o)] for o in orig_ids]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing node id {exc}") from exc
 
 
 def _external_embedder(directory):
@@ -113,22 +123,16 @@ def _external_embedder(directory):
         path = os.path.join(directory, f"embeddings_k{k}.csv")
         if not os.path.exists(path):
             raise FileNotFoundError(f"no external embedding file {path}")
-        ids, emb = load_embedding_csv(path)
-        lookup = {int(i): r for r, i in enumerate(ids)}
-        try:
-            rows = [lookup[int(o)] for o in subgraph.orig_ids]
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing node id {exc}") from exc
-        return emb[rows]
+        return _load_embedding_rows(path, subgraph.orig_ids)
 
     return run
 
 
-def _write_share_outputs(out_dir, report):
-    write_text_atomic(os.path.join(out_dir, "share_report.json"),
-                      json_dumps_stable(report.to_dict()))
-    write_text_atomic(os.path.join(out_dir, "share_report.csv"),
-                      report.to_csv_text())
+def _write_share_outputs(out_dir, report, **extra):
+    write_atomic(os.path.join(out_dir, "share_report.json"),
+                 json_dumps_stable({**report.to_dict(), **extra}))
+    write_atomic(os.path.join(out_dir, "share_report.csv"),
+                 report.to_csv_text())
 
 
 def cmd_share(args):
@@ -151,7 +155,7 @@ def cmd_share(args):
     dist_dir = os.path.join(args.out, "distributions")
     os.makedirs(dist_dir, exist_ok=True)
 
-    partial = False
+    partial = {}
     try:
         report = run_share(g, embedder, seed=args.seed, dataset=dataset,
                            metric=args.metric, threads=_threads(),
@@ -159,20 +163,12 @@ def cmd_share(args):
     except ShareEmbedderError as exc:
         log.error("embedder failed at k=%d: %s", exc.k, exc.__cause__)
         report = exc.partial
-        report_dict = report.to_dict()
-        report_dict["partial"] = True
-        report_dict["failed_k"] = exc.k
-        write_text_atomic(os.path.join(args.out, "share_report.json"),
-                          json_dumps_stable(report_dict))
-        write_text_atomic(os.path.join(args.out, "share_report.csv"),
-                          report.to_csv_text())
-        partial = True
-    else:
-        _write_share_outputs(args.out, report)
+        partial = {"partial": True, "failed_k": exc.k}
+    _write_share_outputs(args.out, report, **partial)
 
     for k, dist in (report.distributions or {}).items():
-        text = "distance\n" + "\n".join(fmt_float(x) for x in dist) + "\n"
-        write_text_atomic(os.path.join(dist_dir, f"k{k}.csv"), text)
+        write_atomic(os.path.join(dist_dir, f"k{k}.csv"),
+                     float_column("distance", dist))
 
     config = {"graph": args.graph,
               "embedder": embedder.to_dict() if isinstance(embedder, EmbedSpec)
@@ -188,14 +184,7 @@ def cmd_stable(args):
     cfg_dict.setdefault("seed", args.seed)
     cfg = StableConfig.from_dict(cfg_dict)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        result = stable_train(g, cfg)
-    except TrainingDivergence as exc:
-        log.error("%s", exc)
-        return EXIT_NUMERIC
-    except EigensolverError as exc:
-        log.error("%s", exc)
-        return EXIT_NUMERIC
+    result = stable_train(g, cfg)
 
     save_embedding_csv(os.path.join(args.out, "embeddings.csv"),
                        result.embeddings, g.orig_ids)
@@ -208,14 +197,14 @@ def cmd_stable(args):
     for t in range(cfg.batches):
         rows.append(f"{t},{fmt_float(result.base_loss[t])},"
                     f"{fmt_float(result.stability_loss[t])}")
-    write_text_atomic(os.path.join(args.out, "loss_trace.csv"),
-                      "\n".join(rows) + "\n")
+    write_atomic(os.path.join(args.out, "loss_trace.csv"),
+                 "\n".join(rows) + "\n")
     errors = stability_error_distribution(
         result.embeddings, result.isolated_core, result.core_nodes)
-    write_text_atomic(os.path.join(args.out, "stability_errors.csv"),
-                      "error\n" + "\n".join(fmt_float(x) for x in errors) + "\n")
-    write_text_atomic(os.path.join(args.out, "config.json"),
-                      json_dumps_stable(cfg.to_dict()))
+    write_atomic(os.path.join(args.out, "stability_errors.csv"),
+                 float_column("error", errors))
+    write_atomic(os.path.join(args.out, "config.json"),
+                 json_dumps_stable(cfg.to_dict()))
     _write_manifest(args.out, "stable",
                     {"graph": args.graph, "config": cfg.to_dict()},
                     cfg.seed, [args.graph, args.config], started)
@@ -225,14 +214,7 @@ def cmd_stable(args):
 def cmd_linkpred(args):
     started = time.time()
     g = load_edge_list(args.graph)
-    ids, emb = load_embedding_csv(args.embeddings)
-    lookup = {int(i): r for r, i in enumerate(ids)}
-    try:
-        rows = [lookup[int(o)] for o in g.orig_ids]
-    except KeyError as exc:
-        log.error("embeddings are missing node id %s", exc)
-        return EXIT_INPUT
-    emb = emb[rows]
+    emb = _load_embedding_rows(args.embeddings, g.orig_ids)
     split = make_split(g, args.fraction, args.seed)
     scores = evaluate(emb, split)
     os.makedirs(args.out, exist_ok=True)
@@ -248,12 +230,12 @@ def cmd_linkpred(args):
         "auc": scores.auc,
         "threshold": scores.threshold,
     }
-    write_text_atomic(os.path.join(args.out, "scores.json"),
-                      json_dumps_stable(payload))
+    write_atomic(os.path.join(args.out, "scores.json"),
+                 json_dumps_stable(payload))
     row = ",".join([os.path.basename(args.graph), args.algorithm, args.variant,
                     fmt_float(scores.f1), fmt_float(scores.auc)])
-    write_text_atomic(os.path.join(args.out, "results.csv"),
-                      "graph,algorithm,variant,f1,auc\n" + row + "\n")
+    write_atomic(os.path.join(args.out, "results.csv"),
+                 "graph,algorithm,variant,f1,auc\n" + row + "\n")
     _write_manifest(args.out, "linkpred",
                     {"graph": args.graph, "embeddings": args.embeddings,
                      "fraction": args.fraction},
@@ -293,8 +275,8 @@ def cmd_regress(args):
             fmt_float(s.d_emd), fmt_float(s.d_size),
             fmt_float(s.d_edge_density), fmt_float(s.d_clustering),
             fmt_float(s.d_transitivity)]))
-    write_text_atomic(os.path.join(args.out, "samples.csv"),
-                      "\n".join(rows) + "\n")
+    write_atomic(os.path.join(args.out, "samples.csv"),
+                 "\n".join(rows) + "\n")
 
     combos = {}
     for s in samples:
@@ -322,10 +304,10 @@ def cmd_regress(args):
             entry["error"] = str(exc)
             failures += 1
         fits.append(entry)
-    write_text_atomic(os.path.join(args.out, "fits.json"),
-                      json_dumps_stable({"schema_version": 1, "fits": fits}))
-    write_text_atomic(os.path.join(args.out, "fits.csv"),
-                      "\n".join(fit_rows) + "\n")
+    write_atomic(os.path.join(args.out, "fits.json"),
+                 json_dumps_stable({"schema_version": 1, "fits": fits}))
+    write_atomic(os.path.join(args.out, "fits.csv"),
+                 "\n".join(fit_rows) + "\n")
     _write_manifest(args.out, "regress", {"reports": args.reports}, None,
                     paths, started)
     if failures == len(fits):
@@ -341,12 +323,12 @@ def cmd_generate(args):
     g = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     lines = [f"{int(i)} {int(j)}" for i, j in g.edges]
-    write_text_atomic(os.path.join(args.out, "edges.txt"),
-                      "\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(os.path.join(args.out, "edges.txt"),
+                 "\n".join(lines) + ("\n" if lines else ""))
     provenance = {"schema_version": 1, "spec": spec.to_dict(),
                   "n": g.n, "m": g.m}
-    write_text_atomic(os.path.join(args.out, "provenance.json"),
-                      json_dumps_stable(provenance))
+    write_atomic(os.path.join(args.out, "provenance.json"),
+                 json_dumps_stable(provenance))
     _write_manifest(args.out, "generate", spec.to_dict(), spec.seed,
                     [args.spec], started)
     return EXIT_OK

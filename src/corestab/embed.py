@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import expit
 
-from .graph import complete_graph
+from ._util import fmt_float, write_atomic
 
 LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
@@ -176,36 +176,6 @@ def clique_rw_spectrum(n):
     return [(0.0, 1), (1.0 + 1.0 / (n - 1), n - 1)]
 
 
-def cluster_eigenvalues(vals, tol=1e-6):
-    """Group sorted eigenvalues into (value, multiplicity) pairs within tol."""
-    vals = np.sort(np.asarray(vals, dtype=np.float64))
-    out = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[start] > tol:
-            out.append((float(vals[start:i].mean()), i - start))
-            start = i
-    return out
-
-
-def clique_spectrum_numeric(n, cluster_tol=1e-6):
-    """Directly diagonalize the clique Laplacian (symmetric for cliques)."""
-    lap = rw_normalized_laplacian(complete_graph(n))
-    return cluster_eigenvalues(np.linalg.eigvalsh(lap), cluster_tol)
-
-
-def clique_spectrum_shift_oracle(n, cluster_tol=1e-6):
-    """Independent spectrum via the all-ones decomposition.
-
-    The clique Laplacian is an affine map of the all-ones matrix:
-    scale its numerically computed eigenvalues by -1/(n-1) and shift by
-    1 + 1/(n-1).  Serves as the oracle path for the direct diagonalization.
-    """
-    ones_eigs = np.linalg.eigvalsh(np.ones((n, n)))
-    mapped = (-1.0 / (n - 1)) * ones_eigs + (1.0 + 1.0 / (n - 1))
-    return cluster_eigenvalues(mapped, cluster_tol)
-
-
 class AliasTable:
     """O(1) draws from a fixed discrete distribution (alias method)."""
 
@@ -328,12 +298,11 @@ def embed_graph(g, spec):
 
 
 def save_embedding_csv(path, emb, orig_ids):
-    from ._util import fmt_float, write_text_atomic
     emb = np.asarray(emb, dtype=np.float64)
     lines = ["node_id," + ",".join(f"e{k}" for k in range(emb.shape[1]))]
     for oid, row in zip(orig_ids, emb):
         lines.append(str(int(oid)) + "," + ",".join(fmt_float(x) for x in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_embedding_csv(path):
@@ -357,10 +326,9 @@ def load_embedding_csv(path):
 
 
 def save_embedding_binary(path, emb):
-    from ._util import write_bytes_atomic
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     header = EMBEDDING_MAGIC + struct.pack("<QQ", emb.shape[0], emb.shape[1])
-    write_bytes_atomic(path, header + emb.tobytes(order="C"))
+    write_atomic(path, [header, emb.tobytes(order="C")])
 
 
 def load_embedding_binary(path):

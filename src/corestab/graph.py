@@ -66,11 +66,7 @@ class Graph:
     @property
     def degrees(self):
         if self._degrees is None:
-            d = np.zeros(self.n, dtype=np.int64)
-            if self.m:
-                d += np.bincount(self.edges[:, 0], minlength=self.n)
-                d += np.bincount(self.edges[:, 1], minlength=self.n)
-            self._degrees = d
+            self._degrees = np.bincount(self.edges.T.ravel(), minlength=self.n)
         return self._degrees
 
     @property
@@ -169,10 +165,12 @@ def load_edge_list(path):
     Lines are ``u v`` or ``u v w`` with nonnegative integer ids; ``#`` starts
     a comment line.  Ids are remapped to dense 0..n-1 (original ids kept on
     the Graph).  Duplicate edges collapse keeping the last weight; self-loops
-    are dropped with a logged count.
+    are dropped with a logged count, and so are nodes that appear only in
+    self-loops.
     """
     edges = {}
     nodes = set()
+    loop_nodes = set()
     self_loops = 0
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -199,14 +197,16 @@ def load_edge_list(path):
                     raise GraphParseError(f"{path}:{ln}: non-finite weight in {s!r}")
                 if w < 0:
                     raise GraphParseError(f"{path}:{ln}: negative weight {w}")
-            nodes.add(u)
-            nodes.add(v)
             if u == v:
                 self_loops += 1
+                loop_nodes.add(u)
                 continue
+            nodes.add(u)
+            nodes.add(v)
             edges[(min(u, v), max(u, v))] = w
     if self_loops:
-        log.warning("%s: dropped %d self-loop(s)", path, self_loops)
+        log.warning("%s: dropped %d self-loop(s) and %d node(s) with only "
+                    "self-loops", path, self_loops, len(loop_nodes - nodes))
     orig = np.array(sorted(nodes), dtype=np.int64)
     remap = {int(o): i for i, o in enumerate(orig)}
     if edges:

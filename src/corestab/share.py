@@ -6,6 +6,8 @@ among degenerate-core nodes drifts from the full-graph baseline (earth
 mover's distance), plus the per-shell instability increments.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -164,42 +166,26 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
                              f"{sub.n}-node subgraph at k={k}")
         return pairwise_distribution(emb, rows, metric), subgraph_features(sub)
 
-    results = {}
-    failure = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {k: pool.submit(shell_result, k) for k in ks}
+    # with one thread the shells run in the calling thread, so thread-local
+    # state (such as a tracer's span stack) sees them
+    records, failure = [], None
+    distributions = {} if keep_distributions else None
+    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
+        outcomes = (pool.map if pool else map)(shell_result, ks)
         for k in ks:
             try:
-                results[k] = futures[k].result()
+                dist, feats = next(outcomes)
             except Exception as exc:  # keep earlier shells for the partial report
                 failure = (k, exc)
                 break
-    else:
-        for k in ks:
-            try:
-                results[k] = shell_result(k)
-            except Exception as exc:
-                failure = (k, exc)
-                break
-
-    records = []
-    baseline = None
-    prev_emd = 0.0
-    for k in ks:
-        if k not in results:
-            break
-        dist, feats = results[k]
-        if baseline is None:
-            baseline = dist
-            records.append(ShareRecord(k, 0.0, None, feats))
-            continue
-        emd = emd_1d(dist, baseline)
-        records.append(ShareRecord(k, emd, emd - prev_emd, feats))
-        prev_emd = emd
-    distributions = ({k: results[k][0] for k in results}
-                     if keep_distributions else None)
+            if not records:
+                baseline, emd, delta = dist, 0.0, None
+            else:
+                emd = emd_1d(dist, baseline)
+                delta = emd - records[-1].emd
+            records.append(ShareRecord(k, emd, delta, feats))
+            if keep_distributions:
+                distributions[k] = dist
     report = ShareReport(dataset=dataset, seed=seed, metric=metric,
                          embedder=embedder_meta, records=records,
                          distributions=distributions)

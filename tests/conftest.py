@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from corestab.embed import line_negative_gradient, line_positive_gradient
-from corestab.graph import Graph
+from corestab.embed import (line_negative_gradient, line_positive_gradient,
+                            rw_normalized_laplacian)
+from corestab.graph import Graph, complete_graph
 
 # Zachary karate club, 34 nodes, 78 edges (1-indexed as usually published)
 KARATE_EDGES = [
@@ -144,3 +145,33 @@ def add_at_oracle(n, rows, updates):
     out = np.zeros((n,) + updates.shape[1:], dtype=updates.dtype)
     np.add.at(out, rows, updates)
     return out
+
+
+def cluster_eigenvalues(vals, tol=1e-6):
+    """Group sorted eigenvalues into (value, multiplicity) pairs within tol."""
+    vals = np.sort(np.asarray(vals, dtype=np.float64))
+    out = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[start] > tol:
+            out.append((float(vals[start:i].mean()), i - start))
+            start = i
+    return out
+
+
+def clique_spectrum_numeric(n, cluster_tol=1e-6):
+    """Directly diagonalize the clique Laplacian (symmetric for cliques)."""
+    lap = rw_normalized_laplacian(complete_graph(n))
+    return cluster_eigenvalues(np.linalg.eigvalsh(lap), cluster_tol)
+
+
+def clique_spectrum_shift_oracle(n, cluster_tol=1e-6):
+    """Independent spectrum via the all-ones decomposition.
+
+    The clique Laplacian is an affine map of the all-ones matrix:
+    scale its numerically computed eigenvalues by -1/(n-1) and shift by
+    1 + 1/(n-1).  Serves as the oracle path for the direct diagonalization.
+    """
+    ones_eigs = np.linalg.eigvalsh(np.ones((n, n)))
+    mapped = (-1.0 / (n - 1)) * ones_eigs + (1.0 + 1.0 / (n - 1))
+    return cluster_eigenvalues(mapped, cluster_tol)

@@ -15,8 +15,7 @@ from scipy.special import expit
 
 import corestab as cs
 from corestab._util import derive_seed
-from corestab.embed import (EmbedSpec, clique_rw_spectrum,
-                            clique_spectrum_numeric, embed_graph,
+from corestab.embed import (EmbedSpec, clique_rw_spectrum, embed_graph,
                             save_embedding_csv)
 from corestab.evaluation import (evaluate, make_split,
                                  stability_error_distribution)
@@ -28,8 +27,8 @@ from corestab.stable import (StableConfig, le_base_gradient,
                              stability_gradient, stable_train)
 from corestab.synth import GenSpec, desk_graph, generate
 
-from conftest import (central_difference, emd_lp, line_gradients,
-                      naive_coreness, random_er)
+from conftest import (central_difference, clique_spectrum_numeric, emd_lp,
+                      line_gradients, naive_coreness, random_er)
 
 SEEDS = (0, 1, 2)
 

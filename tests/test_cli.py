@@ -158,6 +158,18 @@ class TestShare:
         assert failed and "embeddings_k1.csv" in failed[0]
 
 
+    def test_self_loop_only_node_spectral_exit_0(self, tmp_path):
+        clique = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        graph = write_graph(tmp_path, "g.txt", clique + [(7, 7)])
+        spec = write_json(tmp_path, "spec.json",
+                          {"algorithm": "laplacian_eigenmaps", "dim": 2})
+        out = str(tmp_path / "o")
+        assert main(["share", "--graph", graph, "--embedder", spec,
+                     "--out", out]) == 0
+        report = json.load(open(os.path.join(out, "share_report.json")))
+        assert report["records"][0]["size"] == 4
+
+
 class TestThreads:
     def test_malformed_value_warns_and_uses_one(self, monkeypatch, caplog):
         monkeypatch.setenv("COREstab_THREADS", "two")
@@ -279,6 +291,16 @@ class TestLinkpred:
         assert main(["linkpred", "--graph", karate_file,
                      "--embeddings", emb_path,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_missing_node_names_file_and_id(self, tmp_path, karate_file,
+                                            caplog):
+        emb_path = str(tmp_path / "emb.csv")
+        save_embedding_csv(emb_path, np.zeros((33, 2)), range(1, 34))
+        with caplog.at_level("ERROR"):
+            assert main(["linkpred", "--graph", karate_file,
+                         "--embeddings", emb_path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"{emb_path}: missing node id 34" in caplog.text
 
 
 class TestRegress:

@@ -3,8 +3,6 @@ import pytest
 from scipy.special import expit
 
 from corestab.embed import (AliasTable, EmbedSpec, clique_rw_spectrum,
-                            clique_spectrum_numeric,
-                            clique_spectrum_shift_oracle, cluster_eigenvalues,
                             _line_step, laplacian_eigenmaps, line1_embed,
                             line_negative_gradient, line_positive_gradient,
                             load_embedding_binary, load_embedding_csv,
@@ -13,8 +11,9 @@ from corestab.embed import (AliasTable, EmbedSpec, clique_rw_spectrum,
                             sigmoid_proximity)
 from corestab.graph import Graph, complete_graph
 
-from conftest import (add_at_oracle, central_difference, line_gradients,
-                      random_er)
+from conftest import (add_at_oracle, central_difference,
+                      clique_spectrum_numeric, clique_spectrum_shift_oracle,
+                      cluster_eigenvalues, line_gradients, random_er)
 
 
 class TestSigmoidProximity:

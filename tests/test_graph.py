@@ -22,7 +22,16 @@ class TestLoadEdgeList:
     def test_self_loop_dropped(self, tmp_path):
         g = load_edge_list(write(tmp_path, "0 1\n3 3\n1 2\n"))
         assert g.m == 2
-        assert 3 in g.orig_ids  # the node survives, the loop does not
+        assert 3 not in g.orig_ids  # a node with only a self-loop is dropped
+
+    def test_self_loop_node_with_edges_kept(self, tmp_path, caplog):
+        path = write(tmp_path, "0 1\n1 1\n5 5\n5 5\n1 2\n")
+        with caplog.at_level("WARNING"):
+            g = load_edge_list(path)
+        assert g.orig_ids.tolist() == [0, 1, 2]
+        assert g.degrees.tolist() == [1, 2, 1]
+        assert "dropped 3 self-loop(s) and 1 node(s) with only self-loops" \
+            in caplog.text
 
     def test_comments_and_blank_lines(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# header\n\n0 1\n# mid\n1 2\n"))
@@ -220,3 +229,74 @@ class TestCoreCompleteness:
         lone = Graph(1, [])
         with pytest.raises(ValueError):
             core_completeness(lone, core_decomposition(lone))
+
+
+def oracle_graphs():
+    """20 seeded graphs for the networkx oracle: dense and sparse ER (some
+    with isolated nodes and several components), BA, disjoint unions and
+    weighted copies."""
+    from corestab.synth import GenSpec, generate
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for i in range(20):
+        n = int(rng.integers(15, 80))
+        kind = i % 4
+        if kind == 0:
+            g = random_er(rng, n, float(rng.uniform(0.08, 0.4)))
+        elif kind == 1:
+            g = random_er(rng, n, float(rng.uniform(0.005, 0.04)))
+        elif kind == 2:
+            g = generate(GenSpec("ba", n, m_attach=int(rng.integers(1, 6)),
+                                 seed=int(rng.integers(1 << 30))))
+        else:
+            a = random_er(rng, n, 0.2)
+            b = random_er(rng, n // 2, 0.5)
+            g = Graph(a.n + b.n, np.vstack([a.edges, b.edges + a.n]))
+        if i % 2:
+            g = Graph(g.n, g.edges, rng.exponential(size=g.m))
+        graphs.append(g)
+    return graphs
+
+
+class TestNetworkxOracle:
+    """Coreness, degrees and per-k-core features against networkx."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        nx = pytest.importorskip("networkx")
+        out = []
+        for g in oracle_graphs():
+            G = nx.Graph()
+            G.add_nodes_from(range(g.n))
+            G.add_edges_from(g.edges.tolist())
+            out.append((g, G))
+        return nx, out
+
+    def test_cases_cover_disconnected_and_weighted(self, cases):
+        nx, graphs = cases
+        assert sum(nx.number_connected_components(G) > 1
+                   for _, G in graphs) >= 5
+        assert sum((g.weights != 1.0).any() for g, _ in graphs) == 10
+
+    def test_core_number_and_degrees(self, cases):
+        nx, graphs = cases
+        for g, G in graphs:
+            core = nx.core_number(G)
+            assert core_decomposition(g).coreness.tolist() == \
+                [core[v] for v in range(g.n)]
+            assert g.degrees.tolist() == [G.degree(v) for v in range(g.n)]
+
+    def test_kcore_features(self, cases):
+        nx, graphs = cases
+        for g, G in graphs:
+            cm = core_decomposition(g)
+            for k in range(cm.k_max + 1):
+                f = subgraph_features(k_core_subgraph(g, cm, k))
+                H = nx.k_core(G, k) if k else G
+                assert f.size == H.number_of_nodes()
+                assert f.edge_density == pytest.approx(nx.density(H),
+                                                       rel=1e-12)
+                assert f.avg_clustering_coefficient == pytest.approx(
+                    nx.average_clustering(H, count_zeros=True), rel=1e-12)
+                assert f.transitivity == pytest.approx(nx.transitivity(H),
+                                                       rel=1e-12)

@@ -143,6 +143,33 @@ class TestRunShare:
         assert info.value.k == 4
         assert [r.k for r in info.value.partial.records] == [0, 1]
 
+    def test_one_thread_runs_shells_in_calling_thread(self):
+        import threading
+        seen = []
+
+        def embedder(sub, seed, k):
+            seen.append((k, threading.get_ident()))
+            return np.random.default_rng(seed).normal(size=(sub.n, 2))
+
+        run_share(desk_graph(), embedder, seed=2)
+        assert seen == [(k, threading.get_ident()) for k in (0, 1, 4)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failure_partial_report_and_distributions(self, threads):
+        def embedder(sub, seed, k):
+            if k == 4:
+                raise RuntimeError("boom")
+            return np.random.default_rng(seed).normal(size=(sub.n, 2))
+
+        with pytest.raises(ShareEmbedderError) as info:
+            run_share(desk_graph(), embedder, seed=2, threads=threads,
+                      keep_distributions=True)
+        partial = info.value.partial
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert [r.k for r in partial.records] == [0, 1]
+        assert sorted(partial.distributions) == [0, 1]
+        assert partial.records[1].delta == partial.records[1].emd
+
     def test_core_too_small(self):
         with pytest.raises(ValueError):
             run_share(Graph(1, []), EmbedSpec("line1", 2), seed=0)
