@@ -3,7 +3,7 @@ import pytest
 
 from corestab.embed import (line_negative_gradient, line_positive_gradient,
                             rw_normalized_laplacian)
-from corestab.graph import Graph, complete_graph
+from corestab.graph import Graph, SubgraphFeatures
 
 # Zachary karate club, 34 nodes, 78 edges (1-indexed as usually published)
 KARATE_EDGES = [
@@ -55,6 +55,11 @@ def triangle():
     return Graph(3, [[0, 1], [1, 2], [0, 2]])
 
 
+def complete_graph(n):
+    i, j = np.triu_indices(n, 1)
+    return Graph(n, np.column_stack([i, j]))
+
+
 def naive_coreness(g):
     """Fixpoint-deletion oracle: for each k, repeatedly delete nodes of
     degree < k until none remain; coreness is the largest k a node survives."""
@@ -78,6 +83,33 @@ def naive_coreness(g):
         for v in alive:
             core[v] = k
     return core
+
+
+def edge_loop_features(g):
+    """Per-edge set-intersection oracle for ``subgraph_features``.
+
+    Counts the triangles on each edge by intersecting its ends' neighbour
+    sets; a node's triangles are half the sum over its edges.
+    """
+    n, m = g.n, g.m
+    density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
+    if n == 0 or m == 0:
+        return SubgraphFeatures(n, density, 0.0, 0.0)
+    nbr_sets = [set(g.neighbors(v).tolist()) for v in range(n)]
+    tri_edge = np.zeros(m, dtype=np.int64)
+    for e in range(m):
+        sa, sb = nbr_sets[int(g.edges[e, 0])], nbr_sets[int(g.edges[e, 1])]
+        if len(sa) > len(sb):
+            sa, sb = sb, sa
+        tri_edge[e] = sum(1 for x in sa if x in sb)
+    tri_node2 = np.bincount(g.edges.T.ravel(), np.tile(tri_edge, 2),
+                            minlength=n)
+    deg = g.degrees
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local = np.where(deg >= 2, tri_node2 / (deg * (deg - 1.0)), 0.0)
+    triples = float(np.sum(deg * (deg - 1) // 2))
+    transitivity = float(tri_edge.sum() / triples) if triples > 0 else 0.0
+    return SubgraphFeatures(n, float(density), float(local.mean()), transitivity)
 
 
 def emd_lp(a, b):

@@ -9,11 +9,12 @@ from corestab.embed import (AliasTable, EmbedSpec, clique_rw_spectrum,
                             rw_normalized_laplacian, save_embedding_binary,
                             save_embedding_csv, scatter_add,
                             sigmoid_proximity)
-from corestab.graph import Graph, complete_graph
+from corestab.graph import Graph
 
 from conftest import (add_at_oracle, central_difference,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
-                      cluster_eigenvalues, line_gradients, random_er)
+                      cluster_eigenvalues, complete_graph, line_gradients,
+                      random_er)
 
 
 class TestSigmoidProximity:

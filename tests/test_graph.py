@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from corestab.graph import (Graph, GraphParseError, complete_graph,
-                            core_completeness, core_decomposition,
-                            k_core_subgraph, load_edge_list, subgraph_features)
+from corestab.graph import (Graph, GraphParseError, core_completeness,
+                            core_decomposition, k_core_subgraph,
+                            load_edge_list, subgraph_features)
 
-from conftest import add_at_oracle, naive_coreness, random_er
+from conftest import (add_at_oracle, complete_graph, edge_loop_features,
+                      naive_coreness, random_er)
 
 
 def write(tmp_path, text):
@@ -91,6 +92,23 @@ class TestGraph:
         sub = g.induced_subgraph([1, 2, 3])
         assert list(sub.orig_ids) == [11, 12, 13]
         assert sub.m == 2
+
+    def test_induced_subgraph_normalises_nodes(self):
+        rng = np.random.default_rng(5)
+        g = random_er(rng, 40, 0.2)
+        g = Graph(g.n, g.edges, rng.exponential(size=g.m), 100 + np.arange(40))
+        nodes = rng.integers(0, 40, size=60)
+        got = g.induced_subgraph(nodes.tolist())
+        want = g.induced_subgraph(np.unique(nodes))
+        assert got.n == want.n == len(set(nodes.tolist()))
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.orig_ids, want.orig_ids)
+
+    def test_component_count_edge_cases(self):
+        assert Graph(0, []).component_count() == 0
+        assert Graph(5, []).component_count() == 5
+        assert Graph(5, [[0, 1], [2, 3]], [0.0, 1.0]).component_count() == 3
 
 
 class TestCoreDecomposition:
@@ -212,6 +230,58 @@ class TestSubgraphFeatures:
                 np.mean(local))
 
 
+def feature_cases():
+    """Named graphs for the exact triangle-listing oracle."""
+    star = Graph(7, [[0, i] for i in range(1, 7)])
+    path = Graph(6, [[i, i + 1] for i in range(5)])
+    tri = Graph(12, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5],
+                     [6, 8], [8, 9], [6, 9]])
+    rng = np.random.default_rng(11)
+    er = random_er(rng, 30, 0.3)
+    cases = {"star": star, "path": path, "edge": Graph(2, [[0, 1]]),
+             "disjoint_triangles": tri, "empty0": Graph(0, []),
+             "empty1": Graph(1, []), "empty5": Graph(5, []),
+             "er": er,
+             "er_weighted": Graph(er.n, er.edges, rng.exponential(size=er.m))}
+    for k in range(2, 9):
+        cases[f"K{k}"] = complete_graph(k)
+    return cases
+
+
+class TestFeaturesOracle:
+    """Triangle listing against the per-edge set-intersection loop, exact."""
+
+    @pytest.mark.parametrize("name", sorted(feature_cases()))
+    def test_named_graphs(self, name):
+        g = feature_cases()[name]
+        assert subgraph_features(g) == edge_loop_features(g)
+
+    def test_named_graph_values(self):
+        cases = feature_cases()
+        star = subgraph_features(cases["star"])
+        assert star.avg_clustering_coefficient == 0.0
+        assert star.transitivity == 0.0
+        for k in range(3, 9):
+            f = subgraph_features(cases[f"K{k}"])
+            assert (f.edge_density, f.avg_clustering_coefficient,
+                    f.transitivity) == (1.0, 1.0, 1.0)
+        tri = subgraph_features(cases["disjoint_triangles"])
+        assert tri.avg_clustering_coefficient == 9 / 12
+        assert tri.transitivity == 1.0
+
+    def test_weights_do_not_matter(self):
+        cases = feature_cases()
+        assert subgraph_features(cases["er_weighted"]) == \
+            subgraph_features(cases["er"])
+
+    def test_every_kcore_of_oracle_graphs(self):
+        for g in oracle_graphs():
+            cm = core_decomposition(g)
+            for k in range(cm.k_max + 1):
+                sub = k_core_subgraph(g, cm, k)
+                assert subgraph_features(sub) == edge_loop_features(sub)
+
+
 class TestCoreCompleteness:
     def test_clique_is_one(self):
         g = complete_graph(6)
@@ -300,3 +370,12 @@ class TestNetworkxOracle:
                     nx.average_clustering(H, count_zeros=True), rel=1e-12)
                 assert f.transitivity == pytest.approx(nx.transitivity(H),
                                                        rel=1e-12)
+
+    def test_component_count(self, cases):
+        nx, graphs = cases
+        for g, G in graphs:
+            assert g.component_count() == nx.number_connected_components(G)
+            cm = core_decomposition(g)
+            for k in range(1, cm.k_max + 1):
+                assert k_core_subgraph(g, cm, k).component_count() == \
+                    nx.number_connected_components(nx.k_core(G, k))

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from corestab.embed import EmbedSpec
-from corestab.graph import Graph, complete_graph
+from corestab.graph import Graph
 from corestab.share import (ShareEmbedderError, ShareReport, emd_1d,
                             max_instability_shell, pairwise_distribution,
                             run_share)
 from corestab.synth import desk_graph
 
-from conftest import emd_lp
+from conftest import complete_graph, emd_lp
 
 
 class TestPairwiseDistribution:

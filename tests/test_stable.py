@@ -6,7 +6,7 @@ from scipy.special import expit
 
 import corestab.stable as stable_mod
 from corestab.embed import EmbedSpec, embed_graph, sigmoid_proximity
-from corestab.graph import Graph, complete_graph, core_decomposition
+from corestab.graph import Graph, core_decomposition
 from corestab.stable import (StableConfig, TrainingDivergence,
                              degenerate_clique_augment, instability_penalty,
                              isolated_core_embedding, le_base_gradient,
@@ -14,7 +14,7 @@ from corestab.stable import (StableConfig, TrainingDivergence,
                              stable_train)
 from corestab.synth import desk_graph
 
-from conftest import central_difference
+from conftest import central_difference, complete_graph
 
 
 def vec_for_sigma(p):
