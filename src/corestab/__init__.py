@@ -7,9 +7,7 @@ and train embeddings that pin core proximities to their isolated-core values.
 
 __version__ = "0.1.0"
 
-from .embed import (EmbedSpec, clique_rw_spectrum, embed_graph,
-                    laplacian_eigenmaps, line1_embed, rw_normalized_laplacian,
-                    sigmoid_proximity)
+from .embed import EmbedSpec, embed_graph, laplacian_eigenmaps, line1_embed
 from .evaluation import (EvalScores, LinkPredSplit, evaluate, make_split,
                          score_pairs, stability_error_distribution)
 from .graph import (CorenessMap, Graph, SubgraphFeatures, core_completeness,

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 
-# rows per piece of a float column written by write_atomic
+# rows per piece of a table written by write_csv
 _PIECE_ROWS = 1 << 14
 
 
@@ -62,11 +62,30 @@ def fmt_float(x):
     return repr(float(x))
 
 
-def float_column(header, values):
-    """A one-column CSV (header, then one ``fmt_float`` per line) as pieces
-    of at most ``_PIECE_ROWS`` lines each, for ``write_atomic``."""
-    values = np.asarray(values, dtype=np.float64)
-    yield header + "\n"
-    for lo in range(0, len(values), _PIECE_ROWS):
-        yield "".join(fmt_float(x) + "\n"
-                      for x in values[lo:lo + _PIECE_ROWS].tolist())
+def write_csv(path, header, columns):
+    """Write a table atomically: a header line, then one comma-joined line
+    per row.
+
+    ``columns`` are equal-length numpy arrays, lists or ranges, one per header
+    name.  A float cell is written by ``fmt_float`` and any other cell by
+    ``str``.  Rows go out in pieces of ``_PIECE_ROWS``, so a large table is
+    never one string in memory.
+    """
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError(f"{len(header)} header names need as many "
+                         "equal-length columns")
+
+    def pieces():
+        yield ",".join(header) + "\n"
+        for lo in range(0, n, _PIECE_ROWS):
+            cells = []
+            for col in columns:
+                block = col[lo:lo + _PIECE_ROWS]
+                if isinstance(block, np.ndarray):
+                    block = block.tolist()
+                cells.append([fmt_float(x) if isinstance(x, float) else str(x)
+                              for x in block])
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_atomic(path, pieces())

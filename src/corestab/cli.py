@@ -10,23 +10,25 @@ result.
 """
 
 import argparse
+import glob
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from ._util import (float_column, fmt_float, json_dumps_stable, sha256_file,
-                    write_atomic)
+from ._util import json_dumps_stable, sha256_file, write_atomic, write_csv
 from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
-from .graph import (GraphParseError, core_completeness, core_decomposition,
-                    k_core_subgraph, load_edge_list, subgraph_features)
-from .regress import collect_samples, ols_fit
+from .graph import (GraphParseError, SubgraphFeatures, core_completeness,
+                    core_decomposition, k_core_subgraph, load_edge_list,
+                    subgraph_features)
+from .regress import FEATURE_NAMES, collect_samples, ols_fit
 from .share import ShareEmbedderError, ShareReport, run_share
 from .stable import StableConfig, TrainingDivergence, stable_train
 from .synth import GenSpec, generate
@@ -37,6 +39,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
+
+_FEATURE_FIELDS = [f.name for f in fields(SubgraphFeatures)]
 
 
 def _threads():
@@ -68,17 +72,18 @@ def _write_manifest(out_dir, command, config, seed, inputs, started):
                  json_dumps_stable(manifest))
 
 
+def _feature_columns(features):
+    return [[getattr(f, name) for f in features] for name in _FEATURE_FIELDS]
+
+
 def cmd_kcore(args):
     started = time.time()
     g = load_edge_list(args.graph)
     cm = core_decomposition(g)
     os.makedirs(args.out, exist_ok=True)
 
-    lines = ["node_id,coreness"]
-    for v in range(g.n):
-        lines.append(f"{int(g.orig_ids[v])},{int(cm.coreness[v])}")
-    write_atomic(os.path.join(args.out, "coreness.csv"),
-                 "\n".join(lines) + "\n")
+    write_csv(os.path.join(args.out, "coreness.csv"), ["node_id", "coreness"],
+              [g.orig_ids, cm.coreness])
 
     completeness = None
     if len(cm.degenerate_core) >= 2:
@@ -94,15 +99,10 @@ def cmd_kcore(args):
     write_atomic(os.path.join(args.out, "kcore_summary.json"),
                  json_dumps_stable(summary))
 
-    rows = ["k,size,edge_density,avg_clustering_coefficient,transitivity"]
     ks = sorted(set([0] + [int(k) for k in np.unique(cm.coreness) if k > 0]))
-    for k in ks:
-        f = subgraph_features(k_core_subgraph(g, cm, k))
-        rows.append(",".join([str(k), str(f.size), fmt_float(f.edge_density),
-                              fmt_float(f.avg_clustering_coefficient),
-                              fmt_float(f.transitivity)]))
-    write_atomic(os.path.join(args.out, "core_features.csv"),
-                 "\n".join(rows) + "\n")
+    feats = [subgraph_features(k_core_subgraph(g, cm, k)) for k in ks]
+    write_csv(os.path.join(args.out, "core_features.csv"),
+              ["k", *_FEATURE_FIELDS], [ks, *_feature_columns(feats)])
     _write_manifest(args.out, "kcore", {"graph": args.graph}, None,
                     [args.graph], started)
     return EXIT_OK
@@ -131,8 +131,12 @@ def _external_embedder(directory):
 def _write_share_outputs(out_dir, report, **extra):
     write_atomic(os.path.join(out_dir, "share_report.json"),
                  json_dumps_stable({**report.to_dict(), **extra}))
-    write_atomic(os.path.join(out_dir, "share_report.csv"),
-                 report.to_csv_text())
+    recs = report.records
+    write_csv(os.path.join(out_dir, "share_report.csv"),
+              ["k", "emd", "delta", *_FEATURE_FIELDS],
+              [[r.k for r in recs], [r.emd for r in recs],
+               ["" if r.delta is None else r.delta for r in recs],
+               *_feature_columns([r.features for r in recs])])
 
 
 def cmd_share(args):
@@ -167,8 +171,7 @@ def cmd_share(args):
     _write_share_outputs(args.out, report, **partial)
 
     for k, dist in (report.distributions or {}).items():
-        write_atomic(os.path.join(dist_dir, f"k{k}.csv"),
-                     float_column("distance", dist))
+        write_csv(os.path.join(dist_dir, f"k{k}.csv"), ["distance"], [dist])
 
     config = {"graph": args.graph,
               "embedder": embedder.to_dict() if isinstance(embedder, EmbedSpec)
@@ -193,16 +196,13 @@ def cmd_stable(args):
     save_embedding_csv(os.path.join(args.out, "isolated_core.csv"),
                        result.isolated_core,
                        g.orig_ids[result.core_nodes])
-    rows = ["batch,base_loss,stability_loss"]
-    for t in range(cfg.batches):
-        rows.append(f"{t},{fmt_float(result.base_loss[t])},"
-                    f"{fmt_float(result.stability_loss[t])}")
-    write_atomic(os.path.join(args.out, "loss_trace.csv"),
-                 "\n".join(rows) + "\n")
+    write_csv(os.path.join(args.out, "loss_trace.csv"),
+              ["batch", "base_loss", "stability_loss"],
+              [range(cfg.batches), result.base_loss, result.stability_loss])
     errors = stability_error_distribution(
         result.embeddings, result.isolated_core, result.core_nodes)
-    write_atomic(os.path.join(args.out, "stability_errors.csv"),
-                 float_column("error", errors))
+    write_csv(os.path.join(args.out, "stability_errors.csv"), ["error"],
+              [errors])
     write_atomic(os.path.join(args.out, "config.json"),
                  json_dumps_stable(cfg.to_dict()))
     _write_manifest(args.out, "stable",
@@ -232,10 +232,10 @@ def cmd_linkpred(args):
     }
     write_atomic(os.path.join(args.out, "scores.json"),
                  json_dumps_stable(payload))
-    row = ",".join([os.path.basename(args.graph), args.algorithm, args.variant,
-                    fmt_float(scores.f1), fmt_float(scores.auc)])
-    write_atomic(os.path.join(args.out, "results.csv"),
-                 "graph,algorithm,variant,f1,auc\n" + row + "\n")
+    write_csv(os.path.join(args.out, "results.csv"),
+              ["graph", "algorithm", "variant", "f1", "auc"],
+              [[os.path.basename(args.graph)], [args.algorithm],
+               [args.variant], [scores.f1], [scores.auc]])
     _write_manifest(args.out, "linkpred",
                     {"graph": args.graph, "embeddings": args.embeddings,
                      "fraction": args.fraction},
@@ -245,8 +245,7 @@ def cmd_linkpred(args):
 
 def cmd_regress(args):
     started = time.time()
-    import glob as globmod
-    paths = sorted(globmod.glob(args.reports))
+    paths = sorted(glob.glob(args.reports))
     if not paths:
         log.error("no report files match %r", args.reports)
         return EXIT_INPUT
@@ -264,19 +263,14 @@ def cmd_regress(args):
     samples = collect_samples(reports)
     os.makedirs(args.out, exist_ok=True)
 
-    rows = ["dataset,algorithm,dim,k,d_emd,d_size,d_edge_density,"
-            "d_clustering_coefficient,d_transitivity"]
-    for s in samples:
-        rows.append(",".join([
-            str(s.source.get("dataset", "")),
-            str(s.source.get("algorithm", "")),
-            str(s.source.get("dim", "")),
-            str(s.source.get("k", "")),
-            fmt_float(s.d_emd), fmt_float(s.d_size),
-            fmt_float(s.d_edge_density), fmt_float(s.d_clustering),
-            fmt_float(s.d_transitivity)]))
-    write_atomic(os.path.join(args.out, "samples.csv"),
-                 "\n".join(rows) + "\n")
+    write_csv(os.path.join(args.out, "samples.csv"),
+              ["dataset", "algorithm", "dim", "k", "d_emd", "d_size",
+               "d_edge_density", "d_clustering_coefficient", "d_transitivity"],
+              [[s.source.get(key, "") for s in samples]
+               for key in ("dataset", "algorithm", "dim", "k")]
+              + [[getattr(s, name) for s in samples]
+                 for name in ("d_emd", "d_size", "d_edge_density",
+                              "d_clustering", "d_transitivity")])
 
     combos = {}
     for s in samples:
@@ -284,30 +278,28 @@ def cmd_regress(args):
         combos.setdefault(key, []).append(s)
     fits = []
     failures = 0
-    fit_rows = ["algorithm,dim,samples,feature,coefficient,std_error,"
-                "ci_lower,ci_upper,r_squared"]
+    fit_header = ["algorithm", "dim", "samples", "feature", "coefficient",
+                  "std_error", "ci_lower", "ci_upper", "r_squared"]
+    fit_columns = [[] for _ in fit_header]
     for (algo, dim), combo_samples in sorted(combos.items()):
         entry = {"algorithm": algo, "dim": dim,
                  "samples": len(combo_samples)}
         try:
             fit = ols_fit(combo_samples)
             entry["fit"] = fit.to_dict()
-            from .regress import FEATURE_NAMES
-            for j, feature in enumerate(FEATURE_NAMES):
-                fit_rows.append(",".join([
-                    algo, str(dim), str(fit.samples), feature,
-                    fmt_float(fit.coefficients[j]),
-                    fmt_float(fit.std_errors[j]),
-                    fmt_float(fit.ci_lower[j]), fmt_float(fit.ci_upper[j]),
-                    fmt_float(fit.r_squared)]))
+            nf = len(FEATURE_NAMES)
+            for column, cells in zip(fit_columns, (
+                    [algo] * nf, [dim] * nf, [fit.samples] * nf,
+                    FEATURE_NAMES, fit.coefficients, fit.std_errors,
+                    fit.ci_lower, fit.ci_upper, [fit.r_squared] * nf)):
+                column.extend(cells)
         except ValueError as exc:
             entry["error"] = str(exc)
             failures += 1
         fits.append(entry)
     write_atomic(os.path.join(args.out, "fits.json"),
                  json_dumps_stable({"schema_version": 1, "fits": fits}))
-    write_atomic(os.path.join(args.out, "fits.csv"),
-                 "\n".join(fit_rows) + "\n")
+    write_csv(os.path.join(args.out, "fits.csv"), fit_header, fit_columns)
     _write_manifest(args.out, "regress", {"reports": args.reports}, None,
                     paths, started)
     if failures == len(fits):

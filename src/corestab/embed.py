@@ -3,7 +3,7 @@ normalized Laplacian, and first-order edge-sampling SGD with negative sampling.
 """
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import expit
 
-from ._util import fmt_float, write_atomic
+from ._util import write_atomic, write_csv
 
 LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
@@ -20,6 +20,8 @@ ALGORITHMS = (LAPLACIAN_EIGENMAPS, LINE1)
 # dense eigensolver below this size; sparse shift-invert Lanczos above
 _DENSE_EIG_LIMIT = 1500
 _ZERO_EIG_TOL = 1e-8
+# largest relative residual and D-orthonormality error accepted from eigsh
+_EIGSH_TOL = 1e-6
 _CHUNK = 4096
 
 EMBEDDING_MAGIC = b"CRSTEMB1"
@@ -57,53 +59,17 @@ class EmbedSpec:
             raise ValueError("batches must be >= 1")
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "dim": self.dim,
-            "seed": self.seed,
-            "batches": self.batches,
-            "negatives": self.negatives,
-            "lr": self.lr,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: d[k] for k in
-                 ("algorithm", "dim", "seed", "batches", "negatives", "lr")
-                 if k in d}
-        extra = set(d) - set(known)
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown embedder config keys: {sorted(extra)}")
-        return cls(**known)
+        return cls(**d)
 
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
-
-
-def sigmoid_proximity(u, v):
-    """sigma(u . v); saturates instead of overflowing for huge dot products."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(expit(u @ v))
-
-
-def rw_normalized_laplacian(g):
-    """Dense random-walk normalized Laplacian D^-1 (D - A); rows sum to 0.
-
-    Degrees are weighted.  Intended for analysis and verification on small
-    graphs; the spectral embedder uses sparse matrices internally.
-    """
-    wdeg = g.weighted_degrees
-    if g.n and (wdeg <= 0).any():
-        raise ValueError("graph has isolated (zero-degree) nodes")
-    a = np.zeros((g.n, g.n))
-    if g.m:
-        a[g.edges[:, 0], g.edges[:, 1]] = g.weights
-        a[g.edges[:, 1], g.edges[:, 0]] = g.weights
-    lap = np.eye(g.n) - a / wdeg[:, None] if g.n else np.zeros((0, 0))
-    return lap
 
 
 def _sign_canonical(vecs):
@@ -122,6 +88,8 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
     connected component (each must be below 1e-8), and returns eigenvectors
     for the next ``dim`` eigenvalues.  Deterministic for a fixed seed: the
     Lanczos start vector is seeded and column signs are canonicalized.
+    Lanczos eigenpairs whose relative residual or D-orthonormality error
+    exceeds 1e-6 raise ``EigensolverError``.
     """
     n = g.n
     wdeg = g.weighted_degrees
@@ -154,6 +122,15 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
                 f"Lanczos did not converge for k={k} on n={n} graph") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
+        dvecs = wdeg[:, None] * vecs
+        residual = np.max(np.linalg.norm(lap @ vecs - dvecs * vals, axis=0)
+                          / np.linalg.norm(dvecs, axis=0))
+        ortho = np.max(np.abs(vecs.T @ dvecs - np.eye(k)))
+        if not (residual <= _EIGSH_TOL and ortho <= _EIGSH_TOL):
+            raise EigensolverError(
+                f"Lanczos eigenpairs for k={k} on n={n} graph are inaccurate: "
+                f"max ||Lv - lambda Dv||/||Dv|| = {residual:.3g}, "
+                f"max |V'DV - I| = {ortho:.3g} (tolerance {_EIGSH_TOL:g})")
     if np.max(np.abs(vals[:comps])) > _ZERO_EIG_TOL:
         raise EigensolverError(
             "expected one ~0 eigenvalue per component, got "
@@ -162,18 +139,6 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
     if return_eigenvalues:
         return emb, vals[comps:k].copy()
     return emb
-
-
-def clique_rw_spectrum(n):
-    """Eigenvalues of the clique's random-walk Laplacian with multiplicities.
-
-    A clique of n nodes has exactly two: 0 (multiplicity 1) and 1 + 1/(n-1)
-    (multiplicity n-1), which is why spectral embeddings of near-complete
-    cores are an arbitrary basis choice.
-    """
-    if n < 2:
-        raise ValueError("clique spectrum needs n >= 2")
-    return [(0.0, 1), (1.0 + 1.0 / (n - 1), n - 1)]
 
 
 class AliasTable:
@@ -299,10 +264,8 @@ def embed_graph(g, spec):
 
 def save_embedding_csv(path, emb, orig_ids):
     emb = np.asarray(emb, dtype=np.float64)
-    lines = ["node_id," + ",".join(f"e{k}" for k in range(emb.shape[1]))]
-    for oid, row in zip(orig_ids, emb):
-        lines.append(str(int(oid)) + "," + ",".join(fmt_float(x) for x in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, ["node_id"] + [f"e{k}" for k in range(emb.shape[1])],
+              [np.asarray(orig_ids, dtype=np.int64), *emb.T])
 
 
 def load_embedding_csv(path):

@@ -10,7 +10,6 @@ recall and F1 coincide.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graph import Graph
 from .stable import proximity_gaps_squared
@@ -111,7 +110,10 @@ def rank_auc(pos_scores, neg_scores):
     p, n = len(pos_scores), len(neg_scores)
     if p == 0 or n == 0:
         raise ValueError("need both positive and negative scores")
-    ranks = rankdata(np.concatenate([pos_scores, neg_scores]))
+    # average ranks: a group of tied scores shares the mean of its positions
+    _, group, counts = np.unique(np.concatenate([pos_scores, neg_scores]),
+                                 return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[:p].sum() - p * (p + 1) / 2.0) / (p * n))
 
 

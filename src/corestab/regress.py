@@ -8,7 +8,7 @@ size, edge density, mean clustering, and transitivity.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 FEATURE_NAMES = ("intercept", "d_size", "d_edge_density",
                  "d_clustering_coefficient", "d_transitivity")
@@ -98,7 +98,7 @@ def ols_fit(samples):
     sigma2 = rss / dof
     cov = sigma2 * np.linalg.inv(x.T @ x)
     se = np.sqrt(np.diag(cov))
-    crit = student_t.ppf(0.975, dof)
+    crit = stdtrit(dof, 0.975)  # Student t quantile
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     return RegressionFit(

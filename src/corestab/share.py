@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._util import derive_seed, fmt_float
+from ._util import derive_seed
 from .embed import EmbedSpec, embed_graph
 from .graph import SubgraphFeatures, core_decomposition, subgraph_features
 
@@ -67,18 +67,6 @@ class ShareReport:
         ]
         return cls(dataset=d["dataset"], seed=int(d["seed"]), metric=d["metric"],
                    embedder=dict(d["embedder"]), records=records)
-
-    def to_csv_text(self):
-        lines = ["k,emd,delta,size,edge_density,avg_clustering_coefficient,transitivity"]
-        for r in self.records:
-            f = r.features
-            lines.append(",".join([
-                str(r.k), fmt_float(r.emd),
-                "" if r.delta is None else fmt_float(r.delta),
-                str(f.size), fmt_float(f.edge_density),
-                fmt_float(f.avg_clustering_coefficient), fmt_float(f.transitivity),
-            ]))
-        return "\n".join(lines) + "\n"
 
 
 class ShareEmbedderError(RuntimeError):

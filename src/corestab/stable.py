@@ -9,7 +9,7 @@ when both endpoints sit in the degenerate core.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -78,12 +78,7 @@ class StableConfig:
         return cls(base=base, **overrides)
 
     def to_dict(self):
-        return {
-            "base": self.base, "dim": self.dim, "alpha": self.alpha,
-            "gamma": self.gamma, "beta": self.beta, "lr": self.lr,
-            "batches": self.batches, "negatives": self.negatives,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -91,9 +86,7 @@ class StableConfig:
         base = d.pop("base", None)
         if base is None:
             raise ValueError("config is missing 'base'")
-        known = ("dim", "alpha", "gamma", "beta", "lr", "batches",
-                 "negatives", "seed")
-        extra = set(d) - set(known)
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls.for_base(base, **d)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from corestab.embed import (line_negative_gradient, line_positive_gradient,
-                            rw_normalized_laplacian)
+from corestab.embed import line_negative_gradient, line_positive_gradient
 from corestab.graph import Graph, SubgraphFeatures
+from corestab.synth import GenSpec, generate
 
 # Zachary karate club, 34 nodes, 78 edges (1-indexed as usually published)
 KARATE_EDGES = [
@@ -58,6 +59,16 @@ def triangle():
 def complete_graph(n):
     i, j = np.triu_indices(n, 1)
     return Graph(n, np.column_stack([i, j]))
+
+
+def ba_with_pendants(n_core, m_attach, pendants, seed):
+    """BA(n_core, m_attach) plus ``pendants`` degree-1 nodes, each attached
+    to a BA node drawn by ``np.random.default_rng(seed)``; the BA graph is
+    the degenerate core and the pendants are a periphery to shave."""
+    g = generate(GenSpec("ba", n_core, m_attach=m_attach, seed=seed))
+    anchors = np.random.default_rng(seed).integers(0, n_core, size=pendants)
+    leaves = np.column_stack([anchors, np.arange(n_core, n_core + pendants)])
+    return Graph(n_core + pendants, np.vstack([g.edges, leaves]))
 
 
 def naive_coreness(g):
@@ -177,6 +188,44 @@ def add_at_oracle(n, rows, updates):
     out = np.zeros((n,) + updates.shape[1:], dtype=updates.dtype)
     np.add.at(out, rows, updates)
     return out
+
+
+def sigmoid_proximity(u, v):
+    """sigma(u . v); saturates instead of overflowing for huge dot products."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    return float(expit(u @ v))
+
+
+def rw_normalized_laplacian(g):
+    """Dense random-walk normalized Laplacian D^-1 (D - A); rows sum to 0.
+
+    Degrees are weighted.  Intended for analysis and verification on small
+    graphs; the spectral embedder uses sparse matrices internally.
+    """
+    wdeg = g.weighted_degrees
+    if g.n and (wdeg <= 0).any():
+        raise ValueError("graph has isolated (zero-degree) nodes")
+    a = np.zeros((g.n, g.n))
+    if g.m:
+        a[g.edges[:, 0], g.edges[:, 1]] = g.weights
+        a[g.edges[:, 1], g.edges[:, 0]] = g.weights
+    lap = np.eye(g.n) - a / wdeg[:, None] if g.n else np.zeros((0, 0))
+    return lap
+
+
+def clique_rw_spectrum(n):
+    """Eigenvalues of the clique's random-walk Laplacian with multiplicities.
+
+    A clique of n nodes has exactly two: 0 (multiplicity 1) and 1 + 1/(n-1)
+    (multiplicity n-1), which is why spectral embeddings of near-complete
+    cores are an arbitrary basis choice.
+    """
+    if n < 2:
+        raise ValueError("clique spectrum needs n >= 2")
+    return [(0.0, 1), (1.0 + 1.0 / (n - 1), n - 1)]
 
 
 def cluster_eigenvalues(vals, tol=1e-6):

@@ -1,9 +1,13 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corestab
 from corestab.cli import _threads, main
 from corestab.embed import save_embedding_csv
 
@@ -92,6 +96,29 @@ class TestShare:
         assert report["records"][0]["emd"] == 0.0
         assert os.path.exists(os.path.join(out_a, "distributions", "k0.csv"))
 
+    def test_report_csv_matches_json(self, tmp_path):
+        from corestab.synth import desk_graph
+        g = desk_graph()
+        graph = write_graph(tmp_path, "desk.txt",
+                            [tuple(e) for e in g.edges.tolist()])
+        spec = write_json(tmp_path, "spec.json",
+                          {"algorithm": "line1", "dim": 3, "batches": 5})
+        out = str(tmp_path / "o")
+        assert main(["share", "--graph", graph, "--embedder", spec,
+                     "--seed", "3", "--out", out]) == 0
+        records = json.load(open(os.path.join(out, "share_report.json")))[
+            "records"]
+        with open(os.path.join(out, "share_report.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        names = ["k", "emd", "delta", "size", "edge_density",
+                 "avg_clustering_coefficient", "transitivity"]
+        assert rows[0] == names
+        assert len(rows) == len(records) + 1 >= 3
+        for row, rec in zip(rows[1:], records):
+            assert row == ["" if rec[name] is None
+                           else repr(rec[name]) for name in names]
+        assert rows[1][2] == ""  # the baseline has no delta
+
     def test_requires_exactly_one_embedder_source(self, tmp_path):
         graph = write_graph(tmp_path, "tri.txt", TRIANGLE)
         assert main(["share", "--graph", graph,
@@ -170,6 +197,16 @@ class TestShare:
         assert report["records"][0]["size"] == 4
 
 
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(corestab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, corestab.cli; "
+            "sys.exit(int('scipy.stats' in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0
+
+
 class TestThreads:
     def test_malformed_value_warns_and_uses_one(self, monkeypatch, caplog):
         monkeypatch.setenv("COREstab_THREADS", "two")
@@ -214,6 +251,28 @@ class TestStable:
                           "batches": 40, "lr": 1e9, "alpha": 1e9})
         assert main(["stable", "--graph", graph, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_inaccurate_eigensolve_exit_3(self, tmp_path, monkeypatch):
+        import corestab.embed as em
+        from corestab.synth import desk_graph
+        g = desk_graph()
+        graph = write_graph(tmp_path, "desk.txt",
+                            [tuple(e) for e in g.edges.tolist()])
+        cfg = write_json(tmp_path, "cfg.json",
+                         {"base": "laplacian_eigenmaps", "dim": 3,
+                          "batches": 5})
+        real, calls = em.eigsh, []
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            calls.append(vecs.shape)
+            return vals, vecs * 1.01
+
+        monkeypatch.setattr(em, "_DENSE_EIG_LIMIT", 5)
+        monkeypatch.setattr(em, "eigsh", perturbed)
+        assert main(["stable", "--graph", graph, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert calls
 
     def test_bad_config_exit_2(self, tmp_path):
         graph = write_graph(tmp_path, "tri.txt", TRIANGLE)
@@ -343,6 +402,9 @@ class TestRegress:
         fits = json.load(open(os.path.join(out, "fits.json")))
         assert code == 3  # every combination failed
         assert "error" in fits["fits"][0]
+        assert open(os.path.join(out, "fits.csv")).read() == (
+            "algorithm,dim,samples,feature,coefficient,std_error,"
+            "ci_lower,ci_upper,r_squared\n")
 
     def test_planted_recovery(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -371,6 +433,19 @@ class TestRegress:
         main(["regress", "--reports", str(tmp_path / "*.json"), "--out", out])
         rows = open(os.path.join(out, "samples.csv")).read().splitlines()
         assert len(rows) == 1 + 3
+
+    def test_external_report_dim_written_as_none(self, tmp_path):
+        self._write_report(tmp_path, "ext", 3, algorithm="external",
+                           dim=None)
+        out = str(tmp_path / "out")
+        main(["regress", "--reports", str(tmp_path / "*.json"), "--out", out])
+        rows = open(os.path.join(out, "samples.csv")).read().splitlines()
+        assert rows[0] == ("dataset,algorithm,dim,k,d_emd,d_size,"
+                           "d_edge_density,d_clustering_coefficient,"
+                           "d_transitivity")
+        d_density = (0.1 + 0.01) - 0.1
+        assert rows[1] == (f"ext,external,None,1,0.01,-1.0,{d_density!r},"
+                           "0.0,0.0")
 
 
 class TestGenerate:

@@ -1,20 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from corestab.embed import (AliasTable, EmbedSpec, clique_rw_spectrum,
+from corestab.embed import (AliasTable, EigensolverError, EmbedSpec,
                             _line_step, laplacian_eigenmaps, line1_embed,
                             line_negative_gradient, line_positive_gradient,
                             load_embedding_binary, load_embedding_csv,
-                            rw_normalized_laplacian, save_embedding_binary,
-                            save_embedding_csv, scatter_add,
-                            sigmoid_proximity)
+                            save_embedding_binary, save_embedding_csv,
+                            scatter_add)
 from corestab.graph import Graph
 
-from conftest import (add_at_oracle, central_difference,
+from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
                       cluster_eigenvalues, complete_graph, line_gradients,
-                      random_er)
+                      random_er, rw_normalized_laplacian, sigmoid_proximity)
 
 
 class TestSigmoidProximity:
@@ -165,6 +166,31 @@ class TestLaplacianEigenmaps:
             em._DENSE_EIG_LIMIT = limit
         assert np.allclose(vd, vs, atol=1e-8)
         assert np.allclose(np.abs(emb_dense), np.abs(emb_sparse), atol=1e-5)
+
+    @pytest.mark.parametrize("part", ["residual", "ortho"])
+    def test_inaccurate_lanczos_basis_rejected(self, karate, monkeypatch,
+                                               part):
+        import corestab.embed as em
+        real = em.eigsh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            if part == "ortho":  # still eigenvectors, no longer D-normalized
+                return vals, vecs * 1.001
+            noise = np.random.default_rng(0).standard_normal(vecs.shape)
+            return vals, vecs + 1e-4 * noise
+
+        monkeypatch.setattr(em, "_DENSE_EIG_LIMIT", 10)
+        laplacian_eigenmaps(karate, 4, seed=1)  # the real basis passes
+        monkeypatch.setattr(em, "eigsh", perturbed)
+        with pytest.raises(EigensolverError, match="inaccurate") as info:
+            laplacian_eigenmaps(karate, 4, seed=1)
+        residual, ortho = [float(x) for x in re.findall(
+            r"= ([0-9.e+-]+)", str(info.value))]
+        if part == "ortho":
+            assert residual <= 1e-6 < ortho
+        else:
+            assert residual > 1e-6
 
 
 def two_cliques_bridged():
@@ -318,6 +344,21 @@ class TestAliasTable:
             AliasTable([])
         with pytest.raises(ValueError):
             AliasTable([0.0, 0.0])
+
+
+class TestEmbedSpecDict:
+    def test_roundtrip_and_keys(self):
+        spec = EmbedSpec("line1", 7, seed=3, batches=9, negatives=2, lr=0.5)
+        assert spec.to_dict() == {"algorithm": "line1", "dim": 7, "seed": 3,
+                                  "batches": 9, "negatives": 2, "lr": 0.5}
+        assert EmbedSpec.from_dict(spec.to_dict()) == spec
+        assert EmbedSpec.from_dict({"algorithm": "line1", "dim": 2}) == \
+            EmbedSpec("line1", 2)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown embedder config keys: \['zz'\]"):
+            EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "zz": 1})
 
 
 class TestEmbeddingIO:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from corestab.evaluation import (evaluate, make_split, score_pairs,
-                                 stability_error_distribution)
+from corestab.evaluation import (evaluate, make_split, rank_auc,
+                                 score_pairs, stability_error_distribution)
 from corestab.graph import Graph
 from corestab.stable import instability_penalty
 
@@ -77,6 +77,19 @@ class TestScorePairs:
     def test_invalid_id(self):
         with pytest.raises(ValueError):
             score_pairs(np.zeros((2, 2)), [[0, 5]])
+
+
+class TestRankAuc:
+    def test_matches_rankdata_oracle(self):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            p, n = (int(x) for x in rng.integers(1, 40, size=2))
+            scores = (rng.integers(0, 6, size=p + n) / 4.0 if trial % 3
+                      else rng.standard_normal(p + n))  # mostly tie-heavy
+            ranks = rankdata(scores)
+            expected = float((ranks[:p].sum() - p * (p + 1) / 2.0) / (p * n))
+            assert rank_auc(scores[:p], scores[p:]) == expected
 
 
 class TestEvaluate:

@@ -75,6 +75,17 @@ class TestOlsFit:
         assert (fit.ci_lower <= fit.coefficients).all()
         assert (fit.coefficients <= fit.ci_upper).all()
 
+    def test_ci_matches_student_t_oracle(self):
+        from scipy.stats import t
+        rng = np.random.default_rng(4)
+        for n in (6, 7, 10, 40, 300):
+            fit = ols_fit(planted_samples(rng, n, noise=0.1))
+            crit = t.ppf(0.975, n - 5)
+            assert np.array_equal(fit.ci_lower,
+                                  fit.coefficients - crit * fit.std_errors)
+            assert np.array_equal(fit.ci_upper,
+                                  fit.coefficients + crit * fit.std_errors)
+
     def test_noise_target_ci_calibration(self):
         rng = np.random.default_rng(2)
         contains = 0

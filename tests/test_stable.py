@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 import corestab.stable as stable_mod
-from corestab.embed import EmbedSpec, embed_graph, sigmoid_proximity
+from corestab.embed import EmbedSpec, embed_graph
 from corestab.graph import Graph, core_decomposition
 from corestab.stable import (StableConfig, TrainingDivergence,
                              degenerate_clique_augment, instability_penalty,
@@ -14,7 +14,7 @@ from corestab.stable import (StableConfig, TrainingDivergence,
                              stable_train)
 from corestab.synth import desk_graph
 
-from conftest import central_difference, complete_graph
+from conftest import central_difference, complete_graph, sigmoid_proximity
 
 
 def vec_for_sigma(p):
@@ -210,8 +210,19 @@ class TestStableConfig:
             StableConfig(base="laplacian_eigenmaps", gamma=0.0)
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            StableConfig.from_dict({"base": "line1", "bogus": 1})
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys: \['bogus', 'zz'\]"):
+            StableConfig.from_dict({"base": "line1", "zz": 0, "bogus": 1})
+        with pytest.raises(ValueError, match="config is missing 'base'"):
+            StableConfig.from_dict({"dim": 3})
+
+    def test_dict_roundtrip_keeps_fields_and_alpha_default(self):
+        cfg = StableConfig.from_dict({"base": "laplacian_eigenmaps", "dim": 3})
+        assert cfg.to_dict() == {
+            "base": "laplacian_eigenmaps", "dim": 3, "alpha": 1e5,
+            "gamma": 0.1, "beta": 0.1, "lr": 0.025, "batches": 200,
+            "negatives": 5, "seed": 0}
+        assert StableConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestStableTrain:
