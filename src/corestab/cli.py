@@ -266,7 +266,8 @@ def cmd_regress(args):
     write_csv(os.path.join(args.out, "samples.csv"),
               ["dataset", "algorithm", "dim", "k", "d_emd", "d_size",
                "d_edge_density", "d_clustering_coefficient", "d_transitivity"],
-              [[s.source.get(key, "") for s in samples]
+              [["" if s.source.get(key) is None else s.source[key]
+                for s in samples]
                for key in ("dataset", "algorithm", "dim", "k")]
               + [[getattr(s, name) for s in samples]
                  for name in ("d_emd", "d_size", "d_edge_density",
@@ -274,7 +275,8 @@ def cmd_regress(args):
 
     combos = {}
     for s in samples:
-        key = (str(s.source.get("algorithm")), str(s.source.get("dim")))
+        dim = s.source.get("dim")
+        key = (str(s.source.get("algorithm")), "" if dim is None else str(dim))
         combos.setdefault(key, []).append(s)
     fits = []
     failures = 0
@@ -282,7 +284,7 @@ def cmd_regress(args):
                   "std_error", "ci_lower", "ci_upper", "r_squared"]
     fit_columns = [[] for _ in fit_header]
     for (algo, dim), combo_samples in sorted(combos.items()):
-        entry = {"algorithm": algo, "dim": dim,
+        entry = {"algorithm": algo, "dim": dim or None,
                  "samples": len(combo_samples)}
         try:
             fit = ols_fit(combo_samples)

@@ -6,9 +6,9 @@ import struct
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.special import expit
 
 from ._util import write_atomic, write_csv
@@ -17,18 +17,18 @@ LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
 ALGORITHMS = (LAPLACIAN_EIGENMAPS, LINE1)
 
-# dense eigensolver below this size; sparse shift-invert Lanczos above
-_DENSE_EIG_LIMIT = 1500
-_ZERO_EIG_TOL = 1e-8
-# largest relative residual and D-orthonormality error accepted from eigsh
-_EIGSH_TOL = 1e-6
+# eigenvalues this close count as equal: a zero mode to 0, a missed copy of
+# a repeated eigenvalue to the k-th found
+_EIGVAL_TOL = 1e-8
+# largest relative residual and D-orthonormality error accepted from a solve
+_EIG_TOL = 1e-6
 _CHUNK = 4096
 
 EMBEDDING_MAGIC = b"CRSTEMB1"
 
 
 class EigensolverError(RuntimeError):
-    """Eigensolver failed to converge or returned an inconsistent spectrum."""
+    """Eigenpairs failed the accuracy or zero-eigenvalue checks."""
 
 
 @dataclass
@@ -83,13 +83,16 @@ def _sign_canonical(vecs):
 def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
     """Spectral embedding from the random-walk normalized Laplacian.
 
-    Solves the generalized problem (D - A) x = lambda D x (same eigenpairs
-    as D^-1 L), sorts eigenvalues ascending, skips one zero eigenvalue per
-    connected component (each must be below 1e-8), and returns eigenvectors
-    for the next ``dim`` eigenvalues.  Deterministic for a fixed seed: the
-    Lanczos start vector is seeded and column signs are canonicalized.
-    Lanczos eigenpairs whose relative residual or D-orthonormality error
-    exceeds 1e-6 raise ``EigensolverError``.
+    L_rw x = lambda x is N y = (1 - lambda) y with N = D^-1/2 A D^-1/2 and
+    x = D^-1/2 y, so the ``dim + components`` smallest eigenpairs of L_rw are
+    the largest of N, D-orthonormal as found.  Lanczos (seeded start vector,
+    sparse matvecs only) solves for them; a dense ``eigh`` of just that
+    subset of N takes over where Lanczos cannot run (the count is at least
+    n - 1), fails, or misses a copy of a repeated eigenvalue.  One zero
+    eigenvalue per component is skipped (each must be below 1e-8) and the
+    next ``dim`` eigenvectors are returned with canonical column signs.
+    Every solve with a relative residual ||Lx - lambda Dx||/||Dx|| or a
+    D-orthonormality error above 1e-6 raises ``EigensolverError``.
     """
     n = g.n
     wdeg = g.weighted_degrees
@@ -103,35 +106,41 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
         raise ValueError(
             f"dim={dim} not in [1, {usable}] (n={n} minus {comps} component(s))")
     k = dim + comps
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    vals = np.concatenate([g.weights, g.weights])
-    adj = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    lap = sp.diags(wdeg) - adj
-    if n <= _DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = scipy.linalg.eigh(lap.toarray(), np.diag(wdeg))
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
+    indptr, nbrs, weights = g.adjacency()
+    adj = sp.csr_matrix((weights, nbrs, indptr), shape=(n, n))
+    inv_sqrt = 1.0 / np.sqrt(wdeg)
+    norm = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
+    mu = None
+    if k < n - 1:
         rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
         try:
-            vals, vecs = eigsh(lap.tocsc(), k=k, M=sp.diags(wdeg).tocsc(),
-                               sigma=-0.1, which="LM", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"Lanczos did not converge for k={k} on n={n} graph") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        dvecs = wdeg[:, None] * vecs
-        residual = np.max(np.linalg.norm(lap @ vecs - dvecs * vals, axis=0)
-                          / np.linalg.norm(dvecs, axis=0))
-        ortho = np.max(np.abs(vecs.T @ dvecs - np.eye(k)))
-        if not (residual <= _EIGSH_TOL and ortho <= _EIGSH_TOL):
-            raise EigensolverError(
-                f"Lanczos eigenpairs for k={k} on n={n} graph are inaccurate: "
-                f"max ||Lv - lambda Dv||/||Dv|| = {residual:.3g}, "
-                f"max |V'DV - I| = {ortho:.3g} (tolerance {_EIGSH_TOL:g})")
-    if np.max(np.abs(vals[:comps])) > _ZERO_EIG_TOL:
+            mu, y = eigsh(norm, k=k, which="LA", v0=rng.standard_normal(n))
+            # with the pairs found moved below N's spectrum [-1, 1], any
+            # eigenvalue left above the k-th is a copy Lanczos missed (the
+            # operator's rounding keeps ARPACK from machine-precision tol)
+            deflated = LinearOperator(norm.shape, dtype=np.float64, matvec=(
+                lambda x: norm @ x - 3.0 * (y @ (y.T @ x))))
+            top, _ = eigsh(deflated, k=1, which="LA", tol=1e-12,
+                           v0=rng.standard_normal(n))
+            if top[0] > mu.min() + _EIGVAL_TOL:
+                mu = None
+        except ArpackError:  # seen on unions of equal cliques
+            mu = None
+    if mu is None:
+        mu, y = eigh(norm.toarray(), subset_by_index=[n - k, n - 1])
+    order = np.argsort(-mu)
+    vals = 1.0 - mu[order]
+    vecs = inv_sqrt[:, None] * y[:, order]
+    dvecs = wdeg[:, None] * vecs
+    residual = np.max(np.linalg.norm(dvecs - adj @ vecs - dvecs * vals, axis=0)
+                      / np.linalg.norm(dvecs, axis=0))
+    ortho = np.max(np.abs(vecs.T @ dvecs - np.eye(k)))
+    if not (residual <= _EIG_TOL and ortho <= _EIG_TOL):
+        raise EigensolverError(
+            f"eigenpairs for k={k} on n={n} graph are inaccurate: "
+            f"max ||Lv - lambda Dv||/||Dv|| = {residual:.3g}, "
+            f"max |V'DV - I| = {ortho:.3g} (tolerance {_EIG_TOL:g})")
+    if np.max(np.abs(vals[:comps])) > _EIGVAL_TOL:
         raise EigensolverError(
             "expected one ~0 eigenvalue per component, got "
             f"{vals[:comps]!r} for {comps} component(s)")

@@ -93,13 +93,17 @@ def pairwise_distribution(emb, core, metric="euclidean"):
 def emd_1d(a, b):
     """Exact 1-d earth mover's distance between two empirical distributions.
 
-    Integrates |F_a - F_b| over the merged breakpoints of the two sorted
-    samples; symmetric and nonnegative, zero iff the multisets are equal.
+    For samples of equal size it is the mean gap between matching order
+    statistics, mean|a_(i) - b_(i)|; otherwise it integrates |F_a - F_b|
+    over the merged breakpoints of the two sorted samples.  Symmetric and
+    nonnegative, zero iff the multisets are equal.
     """
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty distribution")
+    if len(a) == len(b):
+        return float(np.mean(np.abs(a - b)))
     grid = np.sort(np.concatenate([a, b]))
     widths = np.diff(grid)
     cdf_a = np.searchsorted(a, grid[:-1], side="right") / len(a)

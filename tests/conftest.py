@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import expit
 
 from corestab.embed import line_negative_gradient, line_positive_gradient
@@ -214,6 +215,23 @@ def rw_normalized_laplacian(g):
         a[g.edges[:, 1], g.edges[:, 0]] = g.weights
     lap = np.eye(g.n) - a / wdeg[:, None] if g.n else np.zeros((0, 0))
     return lap
+
+
+def dense_eigenmaps_oracle(g, dim):
+    """Spectral embedding from a dense solve of all n eigenpairs of the
+    generalized problem (D - A) x = lambda D x.
+
+    Follows the embedder's conventions: one zero mode per component is
+    skipped, eigenvectors are D-orthonormal and each column's
+    largest-magnitude entry is positive.  Returns (embedding, eigenvalues).
+    """
+    wdeg = g.weighted_degrees
+    lap = wdeg[:, None] * rw_normalized_laplacian(g)
+    vals, vecs = scipy.linalg.eigh(lap, np.diag(wdeg))
+    comps = g.component_count()
+    vals, vecs = vals[comps:comps + dim], vecs[:, comps:comps + dim]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)]
+    return vecs * np.sign(top), vals
 
 
 def clique_rw_spectrum(n):

@@ -268,7 +268,6 @@ class TestStable:
             calls.append(vecs.shape)
             return vals, vecs * 1.01
 
-        monkeypatch.setattr(em, "_DENSE_EIG_LIMIT", 5)
         monkeypatch.setattr(em, "eigsh", perturbed)
         assert main(["stable", "--graph", graph, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
@@ -434,18 +433,27 @@ class TestRegress:
         rows = open(os.path.join(out, "samples.csv")).read().splitlines()
         assert len(rows) == 1 + 3
 
-    def test_external_report_dim_written_as_none(self, tmp_path):
+    def test_external_report_dim_written_empty(self, tmp_path):
         self._write_report(tmp_path, "ext", 3, algorithm="external",
                            dim=None)
+        self._write_report(tmp_path, "ext_rng", 8, algorithm="external",
+                           dim=None, rng=np.random.default_rng(2))
         out = str(tmp_path / "out")
-        main(["regress", "--reports", str(tmp_path / "*.json"), "--out", out])
+        assert main(["regress", "--reports", str(tmp_path / "*.json"),
+                     "--out", out]) == 0
         rows = open(os.path.join(out, "samples.csv")).read().splitlines()
         assert rows[0] == ("dataset,algorithm,dim,k,d_emd,d_size,"
                            "d_edge_density,d_clustering_coefficient,"
                            "d_transitivity")
         d_density = (0.1 + 0.01) - 0.1
-        assert rows[1] == (f"ext,external,None,1,0.01,-1.0,{d_density!r},"
+        assert rows[1] == (f"ext,external,,1,0.01,-1.0,{d_density!r},"
                            "0.0,0.0")
+        assert [row.split(",")[2] for row in rows[1:]] == [""] * 9
+        fits = open(os.path.join(out, "fits.csv")).read().splitlines()
+        assert len(fits) == 1 + 5
+        assert all(row.startswith("external,,9,") for row in fits[1:])
+        entry = json.load(open(os.path.join(out, "fits.json")))["fits"][0]
+        assert entry["algorithm"] == "external" and entry["dim"] is None
 
 
 class TestGenerate:

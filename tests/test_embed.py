@@ -14,7 +14,8 @@ from corestab.graph import Graph
 
 from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
-                      cluster_eigenvalues, complete_graph, line_gradients,
+                      cluster_eigenvalues, complete_graph,
+                      dense_eigenmaps_oracle, line_gradients,
                       random_er, rw_normalized_laplacian, sigmoid_proximity)
 
 
@@ -150,57 +151,155 @@ class TestLaplacianEigenmaps:
         b = laplacian_eigenmaps(karate, 5, seed=3)
         assert np.array_equal(a, b)
 
-    def test_sparse_path_matches_dense(self):
-        rng = np.random.default_rng(11)
-        g = random_er(rng, 80, 0.1)
-        if (g.degrees == 0).any():
-            g = random_er(rng, 80, 0.2)
+    def test_sparse_path_matches_dense(self, karate, monkeypatch):
+        # Lanczos on D^-1/2 A D^-1/2 against a dense generalized solve, on
+        # connected, weighted, bridged-clique, disconnected and large graphs
         import corestab.embed as em
-        emb_dense, vd = laplacian_eigenmaps(g, 4, return_eigenvalues=True)
-        limit = em._DENSE_EIG_LIMIT
-        em._DENSE_EIG_LIMIT = 10
-        try:
-            emb_sparse, vs = laplacian_eigenmaps(g, 4, seed=1,
-                                                 return_eigenvalues=True)
-        finally:
-            em._DENSE_EIG_LIMIT = limit
-        assert np.allclose(vd, vs, atol=1e-8)
-        assert np.allclose(np.abs(emb_dense), np.abs(emb_sparse), atol=1e-5)
+        monkeypatch.setattr(em, "eigh", None)  # no dense fallback here
+        rng = np.random.default_rng(11)
+        er = random_er(rng, 80, 0.1)
+        if (er.degrees == 0).any():
+            er = random_er(rng, 80, 0.2)
+        weighted = Graph(er.n, er.edges, rng.exponential(size=er.m))
+        three = disjoint_union(karate, random_er(rng, 40, 0.2),
+                               random_er(rng, 30, 0.3))
+        assert three.component_count() == 3
+        large = random_er(rng, 1600, 0.01)
+        assert large.component_count() == 1
+        cases = [(karate, 4), (er, 4), (weighted, 4),
+                 (two_cliques_bridged(30), 1), (three, 3), (large, 4)]
+        for g, dim in cases:
+            emb, vals = laplacian_eigenmaps(g, dim, seed=1,
+                                            return_eigenvalues=True)
+            want_emb, want_vals = dense_eigenmaps_oracle(g, dim)
+            assert np.abs(vals - want_vals).max() <= 1e-10, g.n
+            # column signs are compared apart: the bridged cliques' Fiedler
+            # vector is antisymmetric, so its largest entries tie in size
+            flip = np.sign(np.sum(emb * want_emb, axis=0))
+            assert np.abs(emb * flip - want_emb).max() <= 1e-8, g.n
+
+    def test_repeated_eigenvalues_all_found(self, monkeypatch):
+        # Lanczos can miss copies of a repeated eigenvalue (hypercube,
+        # torus, equal components) or fail outright (equal cliques); the
+        # dense subset solve must take over, with every eigenvalue right
+        import corestab.embed as em
+        real_eigh, dense_calls = em.eigh, []
+
+        def counting_eigh(*args, **kwargs):
+            dense_calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(em, "eigh", counting_eigh)
+        cube = Graph(128, [(i, i ^ (1 << b)) for i in range(128)
+                           for b in range(7) if i < i ^ (1 << b)])
+        torus = Graph(225, [(15 * i + j, 15 * ((i + di) % 15) + (j + dj) % 15)
+                            for i in range(15) for j in range(15)
+                            for di, dj in ((0, 1), (1, 0))])
+        cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+        cases = [(cube, 4), (torus, 30), (disjoint_union(*[cycle] * 10), 1),
+                 (disjoint_union(*[complete_graph(30)] * 3), 20)]
+        for g, dim in cases:
+            for seed in (0, 1, 2):
+                _, vals = laplacian_eigenmaps(g, dim, seed=seed,
+                                              return_eigenvalues=True)
+                _, want = dense_eigenmaps_oracle(g, dim)
+                assert np.abs(vals - want).max() <= 1e-10, (g.n, dim, seed)
+        assert dense_calls  # else no case reached the fallback
+
+    def test_dense_fallback_matches_oracle(self):
+        # dim + components >= n - 1 is too many eigenpairs for Lanczos;
+        # random weights keep every eigenvalue simple
+        rng = np.random.default_rng(12)
+        g = random_er(rng, 12, 0.5)
+        g = Graph(g.n, g.edges, rng.exponential(size=g.m))
+        assert g.component_count() == 1
+        for dim in (g.n - 2, g.n - 1):
+            emb, vals = laplacian_eigenmaps(g, dim, return_eigenvalues=True)
+            want_emb, want_vals = dense_eigenmaps_oracle(g, dim)
+            assert np.abs(vals - want_vals).max() <= 1e-10
+            assert np.abs(emb - want_emb).max() <= 1e-8
 
     @pytest.mark.parametrize("part", ["residual", "ortho"])
     def test_inaccurate_lanczos_basis_rejected(self, karate, monkeypatch,
                                                part):
         import corestab.embed as em
-        real = em.eigsh
-
-        def perturbed(*args, **kwargs):
-            vals, vecs = real(*args, **kwargs)
-            if part == "ortho":  # still eigenvectors, no longer D-normalized
-                return vals, vecs * 1.001
-            noise = np.random.default_rng(0).standard_normal(vecs.shape)
-            return vals, vecs + 1e-4 * noise
-
-        monkeypatch.setattr(em, "_DENSE_EIG_LIMIT", 10)
         laplacian_eigenmaps(karate, 4, seed=1)  # the real basis passes
-        monkeypatch.setattr(em, "eigsh", perturbed)
-        with pytest.raises(EigensolverError, match="inaccurate") as info:
-            laplacian_eigenmaps(karate, 4, seed=1)
-        residual, ortho = [float(x) for x in re.findall(
-            r"= ([0-9.e+-]+)", str(info.value))]
+        monkeypatch.setattr(em, "eigsh", perturbed_solver(em.eigsh, part))
+        assert_inaccurate(lambda: laplacian_eigenmaps(karate, 4, seed=1),
+                          part)
+
+    @pytest.mark.parametrize("part", ["residual", "ortho"])
+    def test_inaccurate_dense_fallback_basis_rejected(self, karate,
+                                                      monkeypatch, part):
+        import corestab.embed as em
+        monkeypatch.setattr(em, "eigsh", None)  # the fallback must not need it
+        laplacian_eigenmaps(karate, 32)  # the real basis passes
+        monkeypatch.setattr(em, "eigh", perturbed_solver(em.eigh, part))
+        assert_inaccurate(lambda: laplacian_eigenmaps(karate, 32), part)
+
+
+class TestNetworkxSpectrum:
+    """Eigenvalues against the symmetric normalized Laplacian of networkx,
+    I - D^-1/2 A D^-1/2, which has the spectrum of D^-1 (D - A)."""
+
+    @pytest.mark.parametrize("case", ["karate", "disconnected"])
+    def test_eigenvalues_match_networkx(self, karate, case):
+        nx = pytest.importorskip("networkx")
+        g = karate if case == "karate" else Graph(
+            12, [[0, 1], [1, 2], [0, 2], [2, 3], [4, 5], [5, 6], [6, 7],
+                 [7, 4], [4, 6], [8, 9], [9, 10], [10, 11], [8, 10]])
+        dim = 5
+        comps = g.component_count()
+        assert comps == (1 if case == "karate" else 3)
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges.tolist())
+        want = np.linalg.eigvalsh(nx.normalized_laplacian_matrix(G).toarray())
+        _, vals = laplacian_eigenmaps(g, dim, return_eigenvalues=True)
+        assert np.abs(want[:comps]).max() <= 1e-10
+        assert np.abs(vals - want[comps:comps + dim]).max() <= 1e-10
+
+
+def perturbed_solver(real, part):
+    """Wrap an eigensolver so its basis fails one arm of the accuracy check:
+    "ortho" scales the columns (still eigenvectors, no longer normalized),
+    "residual" adds noise to them."""
+
+    def solve(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
         if part == "ortho":
-            assert residual <= 1e-6 < ortho
-        else:
-            assert residual > 1e-6
+            return vals, vecs * 1.001
+        noise = np.random.default_rng(0).standard_normal(vecs.shape)
+        return vals, vecs + 1e-4 * noise
+
+    return solve
 
 
-def two_cliques_bridged():
+def assert_inaccurate(call, part):
+    with pytest.raises(EigensolverError, match="inaccurate") as info:
+        call()
+    residual, ortho = [float(x) for x in re.findall(
+        r"= ([0-9.e+-]+)", str(info.value))]
+    if part == "ortho":
+        assert residual <= 1e-6 < ortho
+    else:
+        assert residual > 1e-6
+
+
+def disjoint_union(*graphs):
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    return Graph(offsets[-1], np.concatenate(
+        [g.edges + off for g, off in zip(graphs, offsets)]))
+
+
+def two_cliques_bridged(size=5):
     edges = []
-    for base in (0, 5):
-        for i in range(base, base + 5):
-            for j in range(i + 1, base + 5):
+    for base in (0, size):
+        for i in range(base, base + size):
+            for j in range(i + 1, base + size):
                 edges.append((i, j))
-    edges.append((0, 5))
-    return Graph(10, edges)
+    edges.append((0, size))
+    return Graph(2 * size, edges)
 
 
 class TestLine1:

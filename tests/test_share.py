@@ -61,6 +61,16 @@ class TestEmd1d:
             b = rng.normal(size=int(rng.integers(1, 11)))
             assert emd_1d(a, b) == pytest.approx(emd_lp(a, b), abs=1e-9)
 
+    def test_equal_sizes_match_merged_cdf_form(self):
+        # equal sizes take the quantile form; scipy integrates the CDFs
+        from scipy.stats import wasserstein_distance
+        rng = np.random.default_rng(34)
+        for size in (1, 2, 7, 5000):
+            a = np.round(rng.normal(size=size), 2)  # ties included
+            b = np.round(rng.normal(0.3, 2.0, size=size), 2)
+            assert emd_1d(a, b) == pytest.approx(
+                wasserstein_distance(a, b), rel=1e-12, abs=1e-15)
+
     def test_metric_properties(self):
         rng = np.random.default_rng(32)
         for _ in range(40):
