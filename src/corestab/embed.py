@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.special import expit
 
@@ -17,8 +18,8 @@ LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
 ALGORITHMS = (LAPLACIAN_EIGENMAPS, LINE1)
 
-# eigenvalues this close count as equal: a zero mode to 0, a missed copy of
-# a repeated eigenvalue to the k-th found
+# eigenvalues this close count as equal: a zero mode to 0, a probe's to the
+# smallest found
 _EIGVAL_TOL = 1e-8
 # largest relative residual and D-orthonormality error accepted from a solve
 _EIG_TOL = 1e-6
@@ -28,7 +29,8 @@ EMBEDDING_MAGIC = b"CRSTEMB1"
 
 
 class EigensolverError(RuntimeError):
-    """Eigenpairs failed the accuracy or zero-eigenvalue checks."""
+    """The eigensolver failed, or its pairs failed the accuracy or
+    zero-eigenvalue checks."""
 
 
 @dataclass
@@ -84,15 +86,16 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
     """Spectral embedding from the random-walk normalized Laplacian.
 
     L_rw x = lambda x is N y = (1 - lambda) y with N = D^-1/2 A D^-1/2 and
-    x = D^-1/2 y, so the ``dim + components`` smallest eigenpairs of L_rw are
-    the largest of N, D-orthonormal as found.  Lanczos (seeded start vector,
-    sparse matvecs only) solves for them; a dense ``eigh`` of just that
-    subset of N takes over where Lanczos cannot run (the count is at least
-    n - 1), fails, or misses a copy of a repeated eigenvalue.  One zero
-    eigenvalue per component is skipped (each must be below 1e-8) and the
-    next ``dim`` eigenvectors are returned with canonical column signs.
-    Every solve with a relative residual ||Lx - lambda Dx||/||Dx|| or a
-    D-orthonormality error above 1e-6 raises ``EigensolverError``.
+    x = D^-1/2 y.  N has eigenvalue 1 on D^1/2 1_C for each component C;
+    with those shifted below N's spectrum, its ``dim`` largest eigenpairs
+    give the embedding.  Lanczos finds them with sparse matvecs, its start
+    and restart vectors drawn from ``seed``; one-pair probes then swap in
+    any larger pair it missed (a copy of a repeated eigenvalue).  A dense
+    ``eigh`` of just those pairs runs only where Lanczos cannot, at dim +
+    components >= n - 1.  Every solve must give zero eigenvalues below 1e-8
+    per component and a relative residual ||Lx - lambda Dx||/||Dx|| and
+    D-orthonormality error of at most 1e-6, and an ARPACK failure is an
+    error too: ``EigensolverError``.  Column signs are canonical.
     """
     n = g.n
     wdeg = g.weighted_degrees
@@ -100,54 +103,69 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
         raise ValueError("cannot embed the empty graph")
     if (wdeg <= 0).any():
         raise ValueError("graph has isolated (zero-degree) nodes")
-    comps = g.component_count()
+    indptr, nbrs, weights = g.adjacency()
+    adj = sp.csr_matrix((weights, nbrs, indptr), shape=(n, n))
+    comps, labels = connected_components(adj, directed=False)
     usable = n - comps
     if dim < 1 or dim > usable:
         raise ValueError(
             f"dim={dim} not in [1, {usable}] (n={n} minus {comps} component(s))")
-    k = dim + comps
-    indptr, nbrs, weights = g.adjacency()
-    adj = sp.csr_matrix((weights, nbrs, indptr), shape=(n, n))
     inv_sqrt = 1.0 / np.sqrt(wdeg)
     norm = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-    mu = None
-    if k < n - 1:
+    # row C of zero is component C's unit zero mode, D^1/2 1_C / sqrt(vol C)
+    z = np.sqrt(wdeg / np.bincount(labels, wdeg)[labels])
+    zero = sp.csr_matrix((z, (labels, np.arange(n))), shape=(comps, n))
+    zero_t = zero.T.tocsr()
+    zero_vals = 1.0 - zero @ (norm @ z)
+    if np.max(np.abs(zero_vals)) > _EIGVAL_TOL:
+        raise EigensolverError(
+            "expected one ~0 eigenvalue per component, got "
+            f"{zero_vals!r} for {comps} component(s)")
+
+    def shifted(y):  # N with the zero modes and y's columns moved to -2
+        return LinearOperator(norm.shape, dtype=np.float64, matvec=lambda x: (
+            norm @ x - 3.0 * (zero_t @ (zero @ x) + y @ (y.T @ x))))
+
+    if dim + comps < n - 1:
         rng = np.random.default_rng(seed)
         try:
-            mu, y = eigsh(norm, k=k, which="LA", v0=rng.standard_normal(n))
-            # with the pairs found moved below N's spectrum [-1, 1], any
-            # eigenvalue left above the k-th is a copy Lanczos missed (the
-            # operator's rounding keeps ARPACK from machine-precision tol)
-            deflated = LinearOperator(norm.shape, dtype=np.float64, matvec=(
-                lambda x: norm @ x - 3.0 * (y @ (y.T @ x))))
-            top, _ = eigsh(deflated, k=1, which="LA", tol=1e-12,
-                           v0=rng.standard_normal(n))
-            if top[0] > mu.min() + _EIGVAL_TOL:
-                mu = None
-        except ArpackError:  # seen on unions of equal cliques
-            mu = None
-    if mu is None:
-        mu, y = eigh(norm.toarray(), subset_by_index=[n - k, n - 1])
+            mu, y = eigsh(shifted(np.empty((n, 0))), k=dim, which="LA",
+                          ncv=2 * dim + 20, v0=rng.standard_normal(n), rng=rng)
+            # a probe yields the top pair left once those found are shifted
+            # too; above the smallest found it replaces it (tol: rounding in
+            # the operator bars machine precision).  Both ncv values exceed
+            # ARPACK's default, max(2k + 1, 20), and save about a fifth of
+            # the operator products.
+            for _ in range(dim + 1):
+                top, extra = eigsh(shifted(y), k=1, which="LA", tol=1e-12,
+                                   ncv=40, v0=rng.standard_normal(n), rng=rng)
+                if top[0] <= mu.min() + _EIGVAL_TOL:
+                    break
+                keep = np.argsort(mu)[1:]
+                mu, y = np.append(mu[keep], top), np.hstack([y[:, keep], extra])
+            else:
+                raise EigensolverError(f"probes did not settle on n={n} graph")
+        except ArpackError as exc:
+            raise EigensolverError(
+                f"Lanczos failed for dim={dim} on n={n} graph: {exc}") from exc
+    else:
+        mu, y = eigh(norm.toarray() - 3.0 * (zero_t @ zero).toarray(),
+                     subset_by_index=[n - dim, n - 1])
     order = np.argsort(-mu)
     vals = 1.0 - mu[order]
     vecs = inv_sqrt[:, None] * y[:, order]
     dvecs = wdeg[:, None] * vecs
     residual = np.max(np.linalg.norm(dvecs - adj @ vecs - dvecs * vals, axis=0)
                       / np.linalg.norm(dvecs, axis=0))
-    ortho = np.max(np.abs(vecs.T @ dvecs - np.eye(k)))
+    ortho = max(np.max(np.abs(vecs.T @ dvecs - np.eye(dim))),
+                np.max(np.abs(zero @ y)))
     if not (residual <= _EIG_TOL and ortho <= _EIG_TOL):
         raise EigensolverError(
-            f"eigenpairs for k={k} on n={n} graph are inaccurate: "
+            f"eigenpairs for dim={dim} on n={n} graph are inaccurate: "
             f"max ||Lv - lambda Dv||/||Dv|| = {residual:.3g}, "
             f"max |V'DV - I| = {ortho:.3g} (tolerance {_EIG_TOL:g})")
-    if np.max(np.abs(vals[:comps])) > _EIGVAL_TOL:
-        raise EigensolverError(
-            "expected one ~0 eigenvalue per component, got "
-            f"{vals[:comps]!r} for {comps} component(s)")
-    emb = _sign_canonical(np.ascontiguousarray(vecs[:, comps:k]))
-    if return_eigenvalues:
-        return emb, vals[comps:k].copy()
-    return emb
+    emb = _sign_canonical(np.ascontiguousarray(vecs))
+    return (emb, vals) if return_eigenvalues else emb
 
 
 class AliasTable:

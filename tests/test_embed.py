@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from scipy.special import expit
 
 from corestab.embed import (AliasTable, EigensolverError, EmbedSpec,
@@ -179,32 +180,135 @@ class TestLaplacianEigenmaps:
             assert np.abs(emb * flip - want_emb).max() <= 1e-8, g.n
 
     def test_repeated_eigenvalues_all_found(self, monkeypatch):
-        # Lanczos can miss copies of a repeated eigenvalue (hypercube,
-        # torus, equal components) or fail outright (equal cliques); the
-        # dense subset solve must take over, with every eigenvalue right
+        # Lanczos misses copies of a repeated eigenvalue (hypercube Q7 at
+        # dim 20, whose 4/7 has 21 copies); the probes must find them
+        # without a dense solve, also on spectra of few distinct values
+        # (equal cliques)
         import corestab.embed as em
-        real_eigh, dense_calls = em.eigh, []
+        real_eigsh, calls = em.eigsh, []
 
-        def counting_eigh(*args, **kwargs):
-            dense_calls.append(args[0].shape)
-            return real_eigh(*args, **kwargs)
+        def counting_eigsh(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return real_eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(em, "eigh", counting_eigh)
+        monkeypatch.setattr(em, "eigsh", counting_eigsh)
+        monkeypatch.setattr(em, "eigh", None)
         cube = Graph(128, [(i, i ^ (1 << b)) for i in range(128)
                            for b in range(7) if i < i ^ (1 << b)])
         torus = Graph(225, [(15 * i + j, 15 * ((i + di) % 15) + (j + dj) % 15)
                             for i in range(15) for j in range(15)
                             for di, dj in ((0, 1), (1, 0))])
         cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
-        cases = [(cube, 4), (torus, 30), (disjoint_union(*[cycle] * 10), 1),
-                 (disjoint_union(*[complete_graph(30)] * 3), 20)]
+        cases = [(cube, 20), (torus, 30), (disjoint_union(*[cycle] * 10), 1),
+                 (disjoint_union(*[complete_graph(30)] * 3), 20),
+                 (disjoint_union(*[complete_graph(30)] * 3), 30)]
+        most_calls = 0
         for g, dim in cases:
             for seed in (0, 1, 2):
+                calls.clear()
                 _, vals = laplacian_eigenmaps(g, dim, seed=seed,
                                               return_eigenvalues=True)
                 _, want = dense_eigenmaps_oracle(g, dim)
                 assert np.abs(vals - want).max() <= 1e-10, (g.n, dim, seed)
-        assert dense_calls  # else no case reached the fallback
+                most_calls = max(most_calls, len(calls))
+        # one block solve and one confirming probe, unless a probe found
+        # a missed pair
+        assert most_calls > 2
+
+    def test_deterministic_on_repeated_spectrum(self):
+        # ARPACK restarts from a random vector when its Krylov space closes
+        # early (ten 12-cycles at dim 5, seed 1); that vector must come from
+        # the seed, not from the fresh entropy eigsh draws without an rng
+        cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+        g = disjoint_union(*[cycle] * 10)
+        for seed in (0, 1, 2):
+            a = laplacian_eigenmaps(g, 5, seed=seed)
+            for _ in range(3):
+                assert np.array_equal(a, laplacian_eigenmaps(g, 5, seed=seed))
+
+    def test_missed_pair_swapped_in(self, karate, monkeypatch):
+        # a block solve that returns eigenpairs 2..dim+1 instead of 1..dim,
+        # as when Lanczos misses a copy: the probe must swap the top one in
+        import corestab.embed as em
+        real = em.eigsh
+
+        def missing_top(op, k, **kwargs):
+            if k == 1:
+                return real(op, k=1, **kwargs)
+            vals, vecs = real(op, k=k + 1, **kwargs)
+            return vals[:-1], vecs[:, :-1]  # ascending: drop the largest
+
+        want_emb, want_vals = dense_eigenmaps_oracle(karate, 4)
+        monkeypatch.setattr(em, "eigsh", missing_top)
+        emb, vals = laplacian_eigenmaps(karate, 4, seed=1,
+                                        return_eigenvalues=True)
+        assert np.abs(vals - want_vals).max() <= 1e-10
+        assert np.abs(emb - want_emb).max() <= 1e-8
+
+    def test_zero_mode_in_basis_rejected(self, karate, monkeypatch):
+        # an exact eigenpair, but the zero mode the solve must leave out
+        import corestab.embed as em
+        real = em.eigsh
+        wdeg = karate.weighted_degrees
+        zero_mode = np.sqrt(wdeg / wdeg.sum())
+
+        def leaky(op, k, **kwargs):
+            vals, vecs = real(op, k=k, **kwargs)
+            if k > 1:
+                vals[0], vecs[:, 0] = 1.0, zero_mode
+            return vals, vecs
+
+        monkeypatch.setattr(em, "eigsh", leaky)
+        with pytest.raises(EigensolverError, match="inaccurate") as info:
+            laplacian_eigenmaps(karate, 4, seed=1)
+        residual, ortho = [float(x) for x in re.findall(
+            r"= ([0-9.e+-]+)", str(info.value))]
+        assert residual <= 1e-6 and ortho == pytest.approx(1.0)
+
+    def test_wrong_components_rejected(self, karate, monkeypatch):
+        # zero modes of made-up components are not eigenvectors of N
+        import corestab.embed as em
+        monkeypatch.setattr(em, "connected_components", lambda *a, **k: (
+            2, (np.arange(karate.n) >= 17).astype(np.int32)))
+        with pytest.raises(EigensolverError, match="one ~0 eigenvalue"):
+            laplacian_eigenmaps(karate, 4)
+
+    @pytest.mark.parametrize("error", ["no_convergence", "no_shifts"])
+    def test_arpack_failure_raises(self, karate, monkeypatch, error):
+        import corestab.embed as em
+        sizes = []
+
+        def failing(op, k, **kwargs):
+            sizes.append(k)
+            if error == "no_shifts":
+                raise ArpackError(3)
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((op.shape[0], 0)))
+
+        monkeypatch.setattr(em, "eigsh", failing)
+        with pytest.raises(EigensolverError, match="Lanczos failed"):
+            laplacian_eigenmaps(karate, 4)
+        assert sizes == [4]  # no probe after a failed block solve
+
+    def test_many_components_solved_sparse(self, monkeypatch):
+        # one zero mode per component is shifted away before the solve, so
+        # hundreds of components cost no extra pairs and never go dense
+        import corestab.embed as em
+        monkeypatch.setattr(em, "eigh", None)
+        rng = np.random.default_rng(21)
+        giant = random_er(rng, 300, 0.03)
+        assert giant.component_count() == 1
+        path = Graph(3, [(0, 1), (1, 2)])
+        star = Graph(5, [(0, i) for i in range(1, 5)])
+        g = disjoint_union(giant, *[path] * 120, *[complete_graph(3)] * 80,
+                           *[star] * 60, *[Graph(2, [(0, 1)])] * 40)
+        assert g.component_count() == 301
+        want_emb, want_vals = dense_eigenmaps_oracle(g, 16)
+        for dim in (1, 8, 16):
+            emb, vals = laplacian_eigenmaps(g, dim, seed=2,
+                                            return_eigenvalues=True)
+            assert np.abs(vals - want_vals[:dim]).max() <= 1e-10, dim
+            assert np.abs(emb - want_emb[:, :dim]).max() <= 1e-8, dim
 
     def test_dense_fallback_matches_oracle(self):
         # dim + components >= n - 1 is too many eigenpairs for Lanczos;
