@@ -11,8 +11,7 @@ from .embed import EmbedSpec, embed_graph, laplacian_eigenmaps, line1_embed
 from .evaluation import (EvalScores, LinkPredSplit, evaluate, make_split,
                          score_pairs, stability_error_distribution)
 from .graph import (CorenessMap, Graph, SubgraphFeatures, core_completeness,
-                    core_decomposition, k_core_subgraph, load_edge_list,
-                    subgraph_features)
+                    core_decomposition, load_edge_list, subgraph_features)
 from .regress import RegressionFit, RegressionSample, collect_samples, ols_fit
 from .share import (ShareReport, emd_1d, max_instability_shell,
                     pairwise_distribution, run_share)

@@ -26,8 +26,7 @@ from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
 from .graph import (GraphParseError, SubgraphFeatures, core_completeness,
-                    core_decomposition, k_core_subgraph, load_edge_list,
-                    subgraph_features)
+                    core_decomposition, load_edge_list, subgraph_features)
 from .regress import FEATURE_NAMES, collect_samples, ols_fit
 from .share import ShareEmbedderError, ShareReport, run_share
 from .stable import StableConfig, TrainingDivergence, stable_train
@@ -99,10 +98,10 @@ def cmd_kcore(args):
     write_atomic(os.path.join(args.out, "kcore_summary.json"),
                  json_dumps_stable(summary))
 
-    ks = sorted(set([0] + [int(k) for k in np.unique(cm.coreness) if k > 0]))
-    feats = [subgraph_features(k_core_subgraph(g, cm, k)) for k in ks]
+    feats = subgraph_features(g, cm)
     write_csv(os.path.join(args.out, "core_features.csv"),
-              ["k", *_FEATURE_FIELDS], [ks, *_feature_columns(feats)])
+              ["k", *_FEATURE_FIELDS],
+              [list(feats), *_feature_columns(feats.values())])
     _write_manifest(args.out, "kcore", {"graph": args.graph}, None,
                     [args.graph], started)
     return EXIT_OK

@@ -4,8 +4,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 log = logging.getLogger(__name__)
 
@@ -90,16 +88,6 @@ class Graph:
             np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
             self._adj = (indptr, dst, w)
         return self._adj
-
-    def neighbors(self, v):
-        indptr, nbrs, _ = self.adjacency()
-        return nbrs[indptr[v]:indptr[v + 1]]
-
-    def component_count(self):
-        """Number of connected components; isolated nodes count as one each."""
-        adj = sp.csr_matrix((np.ones(self.m), self.edges.T),
-                            shape=(self.n, self.n))
-        return int(connected_components(adj, directed=False)[0])
 
     def induced_subgraph(self, nodes):
         """Subgraph on the distinct dense ids in ``nodes``, in any order,
@@ -243,56 +231,82 @@ def core_decomposition(g):
     return CorenessMap(deg, k_max, core_nodes)
 
 
-def k_core_subgraph(g, cm, k):
-    """Induced subgraph on nodes with coreness >= k (k = 0 is the full graph)."""
-    k = int(k)
-    if k < 0 or k > cm.k_max:
-        raise ValueError(f"k={k} outside [0, {cm.k_max}]")
-    return g.induced_subgraph(np.flatnonzero(cm.coreness >= k))
+# wedges listed per block of source edges; bounds the triangle listing's memory
+_WEDGE_BUDGET = 1 << 18
 
 
-def subgraph_features(g):
-    """Size, edge density, mean local clustering, and transitivity.
+def subgraph_features(g, cm):
+    """Size, edge density, mean local clustering and transitivity of every
+    k-core, as ``{k: SubgraphFeatures}`` for k = 0 (the whole graph) and then
+    each positive coreness value in ascending order.
 
-    Triangles are listed once each by the "forward" algorithm (Schank &
-    Wagner 2005): every edge points from the lower to the higher (degree, id)
-    rank, every pair of a node's out-neighbours is a wedge, and a wedge is a
-    triangle when its far pair is an edge, found by binary search in the
-    sorted edge codes ``i*n + j``.  Degree ranking caps out-degrees at
-    sqrt(2m), so time and memory are O(m + wedges).  All counts are integers.
-    Nodes of degree < 2 contribute clustering 0; transitivity is 0 when the
-    graph has no connected triples.
+    The k-cores are nested, so an edge or triangle lies in the k-core exactly
+    when its smallest node coreness is >= k.  Triangles are listed once, on
+    ``g``, by the "forward" algorithm (Schank & Wagner 2005): every edge
+    points from the lower to the higher (degree, id) rank, every pair of a
+    node's out-neighbours is a wedge, and a wedge is a triangle when its far
+    pair is an edge, found by binary search in the sorted edge codes
+    ``i*n + j``.  Each node's edges and triangles are counted by level (the
+    index of their smallest coreness in the k list); reverse cumulative sums
+    give every k-core's counts.  Wedges go in blocks of about
+    ``_WEDGE_BUDGET``, so memory is O(n*S + m) for S levels.  Nodes of degree
+    < 2 contribute clustering 0; transitivity is 0 without connected triples.
     """
     n, m = g.n, g.m
-    density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
-    if n == 0 or m == 0:
-        return SubgraphFeatures(n, density, 0.0, 0.0)
-    deg = g.degrees
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    ks = [0] + np.unique(cm.coreness[cm.coreness > 0]).tolist()
+    S = len(ks)
+    level = np.searchsorted(ks, cm.coreness)
     a, b = g.edges[:, 0], g.edges[:, 1]
+    edge_level = np.tile(np.minimum(level[a], level[b]), 2)
+    deg = np.bincount(np.concatenate([a, b]) * S + edge_level,
+                      minlength=n * S).reshape(n, S)
+
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
     flip = rank[a] > rank[b]
     lo, hi = np.where(flip, b, a), np.where(flip, a, b)
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     # wedge (e, f): out-edges e < f of one node, so hi[e] < hi[f]; ``later``
-    # counts the f of each e, and f = e + 1 + the wedge's place in e's run
+    # counts the f of each e, and f = e + 1 + the wedge's place in e's run,
+    # which is the wedge's index plus shift[e]
     later = np.cumsum(np.bincount(lo, minlength=n))[lo] - np.arange(m) - 1
-    first = np.repeat(np.arange(m), later)
-    shift = np.arange(1, m + 1) - (np.cumsum(later) - later)
-    want = hi[first] * n + hi[np.arange(len(first)) + shift[first]]
+    ends = np.cumsum(later)
+    shift = np.arange(1, m + 1) - ends + later
     # codes are sorted, since edges are stored lexicographically; the
     # sentinel n*n lies above every code
     codes = np.append(a * n + b, n * n)
-    closed = codes[np.searchsorted(codes, want)] == want
-    tri = want[closed]
-    tri_node = np.bincount(
-        np.concatenate([lo[first[closed]], tri // n, tri % n]), minlength=n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        local = np.where(deg >= 2, 2.0 * tri_node / (deg * (deg - 1.0)), 0.0)
-    triples = float(np.sum(deg * (deg - 1) // 2))
-    transitivity = 3 * len(tri) / triples if triples > 0 else 0.0
-    return SubgraphFeatures(n, float(density), float(local.mean()), transitivity)
+    tri = np.zeros(n * S, dtype=np.int64)
+    # a block holds the edges whose wedges end in one budget-sized range
+    cuts = np.unique(np.searchsorted(
+        ends, np.arange(0, later.sum() + _WEDGE_BUDGET, _WEDGE_BUDGET),
+        side="right"))
+    for e0, e1 in zip(cuts[:-1], cuts[1:]):
+        first = np.repeat(np.arange(e0, e1), later[e0:e1])
+        far = np.arange(ends[e0] - later[e0], ends[e1 - 1]) + shift[first]
+        want = hi[first] * n + hi[far]
+        closed = codes[np.searchsorted(codes, want)] == want
+        corners = np.stack([lo[first[closed]], hi[first[closed]],
+                            hi[far[closed]]])
+        tri += np.bincount((corners * S + level[corners].min(axis=0)).ravel(),
+                           minlength=n * S)
+    # reverse cumulative sums over the levels: the counts at level >= s
+    deg, tri = (np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+                for c in (deg, tri.reshape(n, S)))
+
+    out = {}
+    for s, k in enumerate(ks):
+        keep = level >= s
+        d, t = deg[keep, s], tri[keep, s]
+        size, edges = len(d), int(d.sum()) // 2
+        density = 2.0 * edges / (size * (size - 1)) if size >= 2 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            local = np.where(d >= 2, 2.0 * t / (d * (d - 1.0)), 0.0)
+        triples = float(np.sum(d * (d - 1) // 2))
+        out[k] = SubgraphFeatures(
+            size, float(density), float(local.mean()) if size else 0.0,
+            int(t.sum()) / triples if triples > 0 else 0.0)
+    return out
 
 
 def core_completeness(g, cm):

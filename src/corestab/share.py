@@ -111,15 +111,6 @@ def emd_1d(a, b):
     return float(np.sum(np.abs(cdf_a - cdf_b) * widths))
 
 
-def spec_embedder(spec):
-    """Adapt an EmbedSpec to the generic per-shell embedder interface."""
-
-    def run(subgraph, seed, k):
-        return embed_graph(subgraph, spec.with_seed(seed))
-
-    return run
-
-
 def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
               keep_distributions=False):
     """Full shave-and-re-embed pass over every populated shell value.
@@ -135,28 +126,24 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
     With ``keep_distributions`` the report also carries the raw sorted
     distance multiset per shell.
     """
-    embedder_meta = {}
-    if isinstance(embedder, EmbedSpec):
-        embedder_meta = embedder.to_dict()
-        embedder = spec_embedder(EmbedSpec.from_dict(embedder_meta))
+    is_spec = isinstance(embedder, EmbedSpec)
     cm = core_decomposition(g)
     core = cm.degenerate_core
     if len(core) < 2:
         raise ValueError("degenerate core has fewer than 2 nodes")
-    if len(core) == g.n:
-        ks = [0]
-    else:
-        ks = [0] + sorted(int(k) for k in np.unique(cm.coreness) if k > 0)
+    features = subgraph_features(g, cm)
+    ks = [0] if len(core) == g.n else list(features)
 
     def shell_result(k):
         kept = np.flatnonzero(cm.coreness >= k)
         sub = g.induced_subgraph(kept)
-        rows = np.searchsorted(kept, core)
-        emb = embedder(sub, derive_seed(seed, "shell", k), k)
+        shell_seed = derive_seed(seed, "shell", k)
+        emb = (embed_graph(sub, embedder.with_seed(shell_seed)) if is_spec
+               else embedder(sub, shell_seed, k))
         if emb.shape[0] != sub.n:
             raise ValueError(f"embedder returned {emb.shape[0]} rows for "
                              f"{sub.n}-node subgraph at k={k}")
-        return pairwise_distribution(emb, rows, metric), subgraph_features(sub)
+        return pairwise_distribution(emb, np.searchsorted(kept, core), metric)
 
     # with one thread the shells run in the calling thread, so thread-local
     # state (such as a tracer's span stack) sees them
@@ -166,7 +153,7 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
         outcomes = (pool.map if pool else map)(shell_result, ks)
         for k in ks:
             try:
-                dist, feats = next(outcomes)
+                dist = next(outcomes)
             except Exception as exc:  # keep earlier shells for the partial report
                 failure = (k, exc)
                 break
@@ -175,12 +162,12 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
             else:
                 emd = emd_1d(dist, baseline)
                 delta = emd - records[-1].emd
-            records.append(ShareRecord(k, emd, delta, feats))
+            records.append(ShareRecord(k, emd, delta, features[k]))
             if keep_distributions:
                 distributions[k] = dist
     report = ShareReport(dataset=dataset, seed=seed, metric=metric,
-                         embedder=embedder_meta, records=records,
-                         distributions=distributions)
+                         embedder=embedder.to_dict() if is_spec else {},
+                         records=records, distributions=distributions)
     if failure is not None:
         raise ShareEmbedderError(failure[0], report, failure[1]) from failure[1]
     return report

@@ -23,6 +23,7 @@ from .graph import Graph, core_decomposition
 log = logging.getLogger(__name__)
 
 _DOT_CLIP = 35.0
+_GAP_BLOCK = 512  # core rows per block of proximity gaps
 
 
 class TrainingDivergence(RuntimeError):
@@ -180,7 +181,7 @@ def degenerate_clique_augment(g, core):
     return Graph(g.n, edges, weights, g.orig_ids)
 
 
-def proximity_gaps_squared(core_emb, core_ref, block=512):
+def proximity_gaps_squared(core_emb, core_ref):
     """Squared first-order proximity gaps for all unordered core pairs.
 
     Returns the per-pair values in upper-triangular row order; their sum is
@@ -193,18 +194,17 @@ def proximity_gaps_squared(core_emb, core_ref, block=512):
     k = core_emb.shape[0]
     out = np.empty(k * (k - 1) // 2)
     pos = 0
-    for lo in range(0, k, block):
-        hi = min(k, lo + block)
+    for lo in range(0, k, _GAP_BLOCK):
+        hi = min(k, lo + _GAP_BLOCK)
         with np.errstate(over="ignore"):
             dots = core_emb[lo:hi] @ core_emb.T
             dots_ref = core_ref[lo:hi] @ core_ref.T
         p = expit(np.clip(dots, -_DOT_CLIP, _DOT_CLIP))
         p_ref = expit(np.clip(dots_ref, -_DOT_CLIP, _DOT_CLIP))
-        gaps = (p - p_ref) ** 2
-        for r in range(lo, hi):
-            seg = gaps[r - lo, r + 1:]
-            out[pos:pos + seg.size] = seg
-            pos += seg.size
+        # row-major boolean indexing keeps the pairs (r, c), c > r, in order
+        seg = ((p - p_ref) ** 2)[np.arange(lo, hi)[:, None] < np.arange(k)]
+        out[pos:pos + seg.size] = seg
+        pos += seg.size
     return out
 
 

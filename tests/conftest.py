@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
 from corestab.embed import line_negative_gradient, line_positive_gradient
@@ -72,11 +74,23 @@ def ba_with_pendants(n_core, m_attach, pendants, seed):
     return Graph(n_core + pendants, np.vstack([g.edges, leaves]))
 
 
+def neighbors(g, v):
+    """Sorted neighbour ids of node ``v``."""
+    indptr, nbrs, _ = g.adjacency()
+    return nbrs[indptr[v]:indptr[v + 1]]
+
+
+def component_count(g):
+    """Number of connected components; isolated nodes count as one each."""
+    adj = sp.csr_matrix((np.ones(g.m), g.edges.T), shape=(g.n, g.n))
+    return int(connected_components(adj, directed=False)[0])
+
+
 def naive_coreness(g):
     """Fixpoint-deletion oracle: for each k, repeatedly delete nodes of
     degree < k until none remain; coreness is the largest k a node survives."""
     core = np.zeros(g.n, dtype=np.int64)
-    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    adj = [set(neighbors(g, v).tolist()) for v in range(g.n)]
     for k in range(1, g.n + 1):
         alive = set(range(g.n))
         nbrs = [set(s) for s in adj]
@@ -107,7 +121,7 @@ def edge_loop_features(g):
     density = 2.0 * m / (n * (n - 1)) if n >= 2 else 0.0
     if n == 0 or m == 0:
         return SubgraphFeatures(n, density, 0.0, 0.0)
-    nbr_sets = [set(g.neighbors(v).tolist()) for v in range(n)]
+    nbr_sets = [set(neighbors(g, v).tolist()) for v in range(n)]
     tri_edge = np.zeros(m, dtype=np.int64)
     for e in range(m):
         sa, sb = nbr_sets[int(g.edges[e, 0])], nbr_sets[int(g.edges[e, 1])]
@@ -122,6 +136,12 @@ def edge_loop_features(g):
     triples = float(np.sum(deg * (deg - 1) // 2))
     transitivity = float(tri_edge.sum() / triples) if triples > 0 else 0.0
     return SubgraphFeatures(n, float(density), float(local.mean()), transitivity)
+
+
+def kcore_features_oracle(g, cm, k):
+    """``edge_loop_features`` of the k-core, built as an induced subgraph."""
+    return edge_loop_features(g.induced_subgraph(np.flatnonzero(
+        cm.coreness >= k)))
 
 
 def emd_lp(a, b):
@@ -228,7 +248,7 @@ def dense_eigenmaps_oracle(g, dim):
     wdeg = g.weighted_degrees
     lap = wdeg[:, None] * rw_normalized_laplacian(g)
     vals, vecs = scipy.linalg.eigh(lap, np.diag(wdeg))
-    comps = g.component_count()
+    comps = component_count(g)
     vals, vecs = vals[comps:comps + dim], vecs[:, comps:comps + dim]
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)]
     return vecs * np.sign(top), vals

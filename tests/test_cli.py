@@ -11,7 +11,8 @@ import corestab
 from corestab.cli import _threads, main
 from corestab.embed import save_embedding_csv
 
-from conftest import KARATE_EDGES
+from conftest import (KARATE_EDGES, ba_with_pendants, complete_graph,
+                      kcore_features_oracle)
 
 
 def write_graph(tmp_path, name, edges):
@@ -69,6 +70,34 @@ class TestKcore:
         assert main(["kcore", "--graph", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("name", ["karate", "ba_pendants"])
+    def test_core_features_match_per_k_oracle(self, tmp_path, karate, name):
+        from corestab.graph import core_decomposition
+        g = karate if name == "karate" else ba_with_pendants(60, 3, 25, 4)
+        graph = write_graph(tmp_path, "g.txt", g.edges.tolist())
+        out = str(tmp_path / "out")
+        assert main(["kcore", "--graph", graph, "--out", out]) == 0
+        with open(os.path.join(out, "core_features.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cm = core_decomposition(g)
+        ks = [0] + sorted(set(cm.coreness.tolist()) - {0})
+        assert [int(r["k"]) for r in rows] == ks
+        for r in rows:
+            want = kcore_features_oracle(g, cm, int(r["k"]))
+            assert int(r["size"]) == want.size
+            for col in ("edge_density", "avg_clustering_coefficient",
+                        "transitivity"):
+                assert float(r[col]) == getattr(want, col)
+
+    def test_core_spans_graph_two_rows(self, tmp_path):
+        graph = write_graph(tmp_path, "k5.txt",
+                            complete_graph(5).edges.tolist())
+        out = str(tmp_path / "out")
+        assert main(["kcore", "--graph", graph, "--out", out]) == 0
+        rows = open(os.path.join(out, "core_features.csv")).read().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "4"]
+        assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
+
     def test_manifest_written(self, tmp_path):
         graph = write_graph(tmp_path, "tri.txt", TRIANGLE)
         out = str(tmp_path / "out")
@@ -95,6 +124,19 @@ class TestShare:
         assert report["records"][0]["k"] == 0
         assert report["records"][0]["emd"] == 0.0
         assert os.path.exists(os.path.join(out_a, "distributions", "k0.csv"))
+
+    def test_core_spans_graph_one_record(self, tmp_path):
+        graph = write_graph(tmp_path, "k6.txt",
+                            complete_graph(6).edges.tolist())
+        spec = write_json(tmp_path, "spec.json",
+                          {"algorithm": "line1", "dim": 2, "batches": 5})
+        out = str(tmp_path / "o")
+        assert main(["share", "--graph", graph, "--embedder", spec,
+                     "--seed", "1", "--out", out]) == 0
+        records = json.load(open(os.path.join(out, "share_report.json")))[
+            "records"]
+        assert [(r["k"], r["size"], r["emd"]) for r in records] == \
+            [(0, 6, 0.0)]
 
     def test_report_csv_matches_json(self, tmp_path):
         from corestab.synth import desk_graph

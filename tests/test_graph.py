@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import corestab.graph as graph_mod
 from corestab.graph import (Graph, GraphParseError, core_completeness,
-                            core_decomposition, k_core_subgraph,
-                            load_edge_list, subgraph_features)
+                            core_decomposition, load_edge_list,
+                            subgraph_features)
 
-from conftest import (add_at_oracle, complete_graph, edge_loop_features,
-                      naive_coreness, random_er)
+from conftest import (add_at_oracle, complete_graph, component_count,
+                      edge_loop_features, kcore_features_oracle,
+                      naive_coreness, neighbors, random_er)
 
 
 def write(tmp_path, text):
@@ -73,7 +75,7 @@ class TestGraph:
 
     def test_neighbors_symmetric(self):
         g = Graph(3, [[0, 1], [1, 2]])
-        assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
+        assert 1 in neighbors(g, 0) and 0 in neighbors(g, 1)
 
     def test_weighted_degrees_match_add_at_exactly(self):
         rng = np.random.default_rng(3)
@@ -106,9 +108,9 @@ class TestGraph:
         assert np.array_equal(got.orig_ids, want.orig_ids)
 
     def test_component_count_edge_cases(self):
-        assert Graph(0, []).component_count() == 0
-        assert Graph(5, []).component_count() == 5
-        assert Graph(5, [[0, 1], [2, 3]], [0.0, 1.0]).component_count() == 3
+        assert component_count(Graph(0, [])) == 0
+        assert component_count(Graph(5, [])) == 5
+        assert component_count(Graph(5, [[0, 1], [2, 3]], [0.0, 1.0])) == 3
 
 
 class TestCoreDecomposition:
@@ -144,25 +146,35 @@ class TestCoreDecomposition:
         assert (cm.coreness <= karate.degrees).all()
 
 
+def features(g):
+    """Features of the whole graph: the k = 0 entry."""
+    return subgraph_features(g, core_decomposition(g))[0]
+
+
 class TestKCoreSubgraph:
+    """The k-cores as ``subgraph_features`` reports them."""
+
     def test_k0_is_whole_graph(self, karate):
-        cm = core_decomposition(karate)
-        sub = k_core_subgraph(karate, cm, 0)
-        assert sub.n == karate.n and sub.m == karate.m
-        assert np.array_equal(sub.edges, karate.edges)
+        feats = subgraph_features(karate, core_decomposition(karate))
+        assert feats[0] == edge_loop_features(karate)
+        assert feats[0].size == karate.n
+        assert feats[0].edge_density == \
+            2 * karate.m / (karate.n * (karate.n - 1))
 
     def test_triangle_k2(self, triangle):
-        cm = core_decomposition(triangle)
-        sub = k_core_subgraph(triangle, cm, 2)
-        assert sub.n == 3 and sub.m == 3
+        feats = subgraph_features(triangle, core_decomposition(triangle))
+        assert list(feats) == [0, 2]
+        assert feats[2].size == 3 and feats[2] == feats[0]
 
     def test_star_k1_whole_k2_error(self):
         star = Graph(6, [[0, i] for i in range(1, 6)])
         cm = core_decomposition(star)
         assert cm.k_max == 1
-        assert k_core_subgraph(star, cm, 1).n == 6
-        with pytest.raises(ValueError):
-            k_core_subgraph(star, cm, 2)
+        feats = subgraph_features(star, cm)
+        assert list(feats) == [0, 1]
+        assert feats[1].size == 6
+        with pytest.raises(KeyError):
+            feats[2]
 
     def test_monotone_nesting(self, karate):
         cm = core_decomposition(karate)
@@ -171,25 +183,91 @@ class TestKCoreSubgraph:
             cur = set(np.flatnonzero(cm.coreness >= k).tolist())
             assert cur <= prev
             prev = cur
+        sizes = [f.size for f in subgraph_features(karate, cm).values()]
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_karate_isolated_core(self, karate):
         cm = core_decomposition(karate)
-        sub = k_core_subgraph(karate, cm, cm.k_max)
-        assert sub.n == len(cm.degenerate_core)
-        assert (np.sort(karate.orig_ids[cm.degenerate_core])
-                == np.sort(sub.orig_ids)).all()
+        feats = subgraph_features(karate, cm)
+        assert list(feats)[-1] == cm.k_max
+        assert feats[cm.k_max].size == len(cm.degenerate_core)
+        assert feats[cm.k_max] == kcore_features_oracle(karate, cm, cm.k_max)
+
+    def test_keys_are_zero_then_coreness_values(self):
+        for g in oracle_graphs():
+            cm = core_decomposition(g)
+            keys = list(subgraph_features(g, cm))
+            assert keys == [0] + sorted(set(cm.coreness.tolist()) - {0})
+            assert all(type(k) is int for k in keys)
+
+    def test_isolated_nodes_only_at_k0(self):
+        # a path 0-1-2 (coreness 1) plus isolated nodes 3, 4, 5 (coreness 0)
+        g = Graph(6, [[0, 1], [1, 2]])
+        cm = core_decomposition(g)
+        assert cm.coreness.tolist() == [1, 1, 1, 0, 0, 0]
+        feats = subgraph_features(g, cm)
+        assert list(feats) == [0, 1]
+        assert feats[0].size == 6 and feats[1].size == 3
+        assert feats[0].edge_density == 2 * 2 / (6 * 5)
+        assert feats[1].edge_density == 2 * 2 / (3 * 2)
+        for k in feats:
+            assert feats[k] == kcore_features_oracle(g, cm, k)
+
+    def test_core_spans_graph(self):
+        g = complete_graph(6)
+        feats = subgraph_features(g, core_decomposition(g))
+        assert list(feats) == [0, 5]
+        assert feats[0] == feats[5] == edge_loop_features(g)
+
+    def test_disconnected_kcore(self):
+        # two K4 joined through node 8: the 3-core is the two K4 alone
+        k4 = complete_graph(4).edges
+        g = Graph(9, np.vstack([k4, k4 + 4, [[3, 8], [4, 8]]]))
+        cm = core_decomposition(g)
+        feats = subgraph_features(g, cm)
+        assert list(feats) == [0, 2, 3]
+        assert component_count(g.induced_subgraph(np.flatnonzero(
+            cm.coreness >= 3))) == 2
+        f = feats[3]
+        assert (f.size, f.edge_density, f.avg_clustering_coefficient,
+                f.transitivity) == (8, 2 * 12 / (8 * 7), 1.0, 1.0)
+        for k in feats:
+            assert feats[k] == kcore_features_oracle(g, cm, k)
+
+    def test_many_blocks_match_oracle(self, monkeypatch):
+        # a budget of 3 wedges splits every dense graph into many blocks
+        monkeypatch.setattr(graph_mod, "_WEDGE_BUDGET", 3)
+        for g in oracle_graphs() + list(feature_cases().values()):
+            cm = core_decomposition(g)
+            for k, f in subgraph_features(g, cm).items():
+                assert f == kcore_features_oracle(g, cm, k)
+
+    def test_wedge_memory_bounded(self):
+        import tracemalloc
+        from corestab.synth import GenSpec, generate
+        # about 8 M wedges: listed at once they take over 100 MiB
+        g = generate(GenSpec("er", 400, p=0.5, seed=1))
+        cm = core_decomposition(g)
+        tracemalloc.start()
+        try:
+            feats = subgraph_features(g, cm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+        assert feats[0] == edge_loop_features(g)
 
 
 class TestSubgraphFeatures:
     def test_triangle(self, triangle):
-        f = subgraph_features(triangle)
+        f = features(triangle)
         assert f.size == 3
         assert f.edge_density == 1.0
         assert f.avg_clustering_coefficient == 1.0
         assert f.transitivity == 1.0
 
     def test_path3(self):
-        f = subgraph_features(Graph(3, [[0, 1], [1, 2]]))
+        f = features(Graph(3, [[0, 1], [1, 2]]))
         assert f.edge_density == pytest.approx(2 / 3)
         assert f.avg_clustering_coefficient == 0.0
         assert f.transitivity == 0.0
@@ -197,19 +275,19 @@ class TestSubgraphFeatures:
     def test_4clique_minus_edge_transitivity(self):
         # degrees (3,3,2,2) -> 8 connected triples, 2 triangles -> 3*2/8
         g = Graph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]])
-        assert subgraph_features(g).transitivity == pytest.approx(0.75)
+        assert features(g).transitivity == pytest.approx(0.75)
 
     def test_empty_and_single(self):
-        assert subgraph_features(Graph(0, [])).size == 0
-        f = subgraph_features(Graph(1, []))
+        assert features(Graph(0, [])).size == 0
+        f = features(Graph(1, []))
         assert f.size == 1 and f.edge_density == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             g = random_er(rng, int(rng.integers(3, 16)), 0.4)
-            f = subgraph_features(g)
-            nbr = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+            f = features(g)
+            nbr = [set(neighbors(g, v).tolist()) for v in range(g.n)]
             triangles = sum(
                 1 for a in range(g.n) for b in range(a + 1, g.n)
                 for c in range(b + 1, g.n)
@@ -254,32 +332,31 @@ class TestFeaturesOracle:
     @pytest.mark.parametrize("name", sorted(feature_cases()))
     def test_named_graphs(self, name):
         g = feature_cases()[name]
-        assert subgraph_features(g) == edge_loop_features(g)
+        assert features(g) == edge_loop_features(g)
 
     def test_named_graph_values(self):
         cases = feature_cases()
-        star = subgraph_features(cases["star"])
+        star = features(cases["star"])
         assert star.avg_clustering_coefficient == 0.0
         assert star.transitivity == 0.0
         for k in range(3, 9):
-            f = subgraph_features(cases[f"K{k}"])
+            f = features(cases[f"K{k}"])
             assert (f.edge_density, f.avg_clustering_coefficient,
                     f.transitivity) == (1.0, 1.0, 1.0)
-        tri = subgraph_features(cases["disjoint_triangles"])
+        tri = features(cases["disjoint_triangles"])
         assert tri.avg_clustering_coefficient == 9 / 12
         assert tri.transitivity == 1.0
 
     def test_weights_do_not_matter(self):
         cases = feature_cases()
-        assert subgraph_features(cases["er_weighted"]) == \
-            subgraph_features(cases["er"])
+        assert features(cases["er_weighted"]) == \
+            features(cases["er"])
 
     def test_every_kcore_of_oracle_graphs(self):
         for g in oracle_graphs():
             cm = core_decomposition(g)
-            for k in range(cm.k_max + 1):
-                sub = k_core_subgraph(g, cm, k)
-                assert subgraph_features(sub) == edge_loop_features(sub)
+            for k, f in subgraph_features(g, cm).items():
+                assert f == kcore_features_oracle(g, cm, k)
 
 
 class TestCoreCompleteness:
@@ -360,8 +437,7 @@ class TestNetworkxOracle:
         nx, graphs = cases
         for g, G in graphs:
             cm = core_decomposition(g)
-            for k in range(cm.k_max + 1):
-                f = subgraph_features(k_core_subgraph(g, cm, k))
+            for k, f in subgraph_features(g, cm).items():
                 H = nx.k_core(G, k) if k else G
                 assert f.size == H.number_of_nodes()
                 assert f.edge_density == pytest.approx(nx.density(H),
@@ -374,8 +450,9 @@ class TestNetworkxOracle:
     def test_component_count(self, cases):
         nx, graphs = cases
         for g, G in graphs:
-            assert g.component_count() == nx.number_connected_components(G)
+            assert component_count(g) == nx.number_connected_components(G)
             cm = core_decomposition(g)
             for k in range(1, cm.k_max + 1):
-                assert k_core_subgraph(g, cm, k).component_count() == \
+                sub = g.induced_subgraph(np.flatnonzero(cm.coreness >= k))
+                assert component_count(sub) == \
                     nx.number_connected_components(nx.k_core(G, k))
