@@ -196,50 +196,120 @@ class AliasTable:
         return np.where(accept, k, self.alias[k])
 
 
-def line_positive_gradient(u_i, u_j):
-    """Gradients of -log sigma(u_i . u_j) w.r.t. u_i and u_j (row batches)."""
-    s = expit(np.einsum("...d,...d->...", u_i, u_j))
-    c = s - 1.0
-    return c[..., None] * u_j, c[..., None] * u_i
+def line_positive_gradient(u_i, u_j, out=None):
+    """Gradients of -log sigma(u_i . u_j) w.r.t. u_i and u_j (row batches).
+
+    ``out``, if given, is ``(g_i, g_j, s)``: the two gradients, shaped like
+    ``u_i``, and the per-row scale s = sigma(u_i . u_j) - 1.  Every result
+    is then written there and nothing is allocated.
+    """
+    g_i, g_j, buf = (None, None, None) if out is None else out
+    s = expit(np.einsum("...d,...d->...", u_i, u_j, out=buf), out=buf)
+    c = np.subtract(s, 1.0, out=buf)
+    return (np.multiply(c[..., None], u_j, out=g_i),
+            np.multiply(c[..., None], u_i, out=g_j))
 
 
-def line_negative_gradient(u_i, u_negs, mask=None):
+def line_negative_gradient(u_i, u_negs, mask=None, out=None):
     """Gradients of -sum_k log sigma(-u_i . u_k) w.r.t. u_i and each u_k.
 
     ``mask`` (same leading shape as the negative axis) zeroes out draws that
     collided with an endpoint of the positive edge, which would otherwise
-    repel the very pair being attracted.
+    repel the very pair being attracted.  ``out``, if given, is
+    ``(g_i, g_negs, s)``: the gradients, shaped like ``u_i`` and ``u_negs``,
+    and the per-draw scale s = sigma(u_i . u_k), shaped like ``mask``.
     """
-    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs))
+    g_i, g_negs, buf = (None, None, None) if out is None else out
+    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs, out=buf), out=buf)
     if mask is not None:
-        s = s * mask
-    g_i = np.einsum("...k,...kd->...d", s, u_negs)
-    g_negs = s[..., None] * u_i[..., None, :]
+        s = np.multiply(s, mask, out=buf)
+    g_i = np.einsum("...k,...kd->...d", s, u_negs, out=g_i)
+    g_negs = np.multiply(s[..., None], u_i[..., None, :], out=g_negs)
     return g_i, g_negs
 
 
-def scatter_add(emb, rows, updates):
+class _SGDWorkspace:
+    """Every per-chunk temporary of the SGD steps of one engine run.
+
+    Sized for ``_CHUNK`` edges with ``negatives`` noise rows each, in
+    ``dim`` dimensions; a step uses the leading rows of each buffer.  One
+    chunk's temporaries come to about 6 MiB at 5 negatives and dim 10,
+    mostly in blocks above glibc's 128 KiB mmap threshold.  Allocated per
+    chunk, they would cost mmap/munmap churn and fresh page faults on every
+    chunk, and the loop's speed would depend on the allocator's state.
+    ``rows`` and ``indptr`` are int32, scipy's index type, so building the
+    one-hot copies nothing.
+    """
+
+    def __init__(self, negatives, dim):
+        c, size = _CHUNK, _CHUNK * (2 + negatives)
+        self.u_i = np.empty((c, dim))
+        self.u_j = np.empty((c, dim))
+        self.u_negs = np.empty((c, negatives, dim))
+        self.g_i_neg = np.empty((c, dim))
+        self.s_pos = np.empty(c)
+        self.s_neg = np.empty((c, negatives))
+        self.mask = np.empty((c, negatives), dtype=bool)
+        self.hit = np.empty((c, negatives), dtype=bool)
+        # one entry per scatter row, laid out [src | ctx | negs]
+        self.rows = np.empty(size, dtype=np.int32)
+        self.updates = np.empty((size, dim))
+        self.ones = np.ones(size)
+        self.indptr = np.arange(size + 1, dtype=np.int32)
+
+
+def _gather(emb, idx, out):
+    """``emb[idx]`` written into ``out``.
+
+    Every index comes from the engine's own samplers or edge list, so it
+    lies in [0, n) and mode="clip" never clips; the default mode="raise"
+    would buffer the whole output before copying it into ``out``.
+    """
+    return np.take(emb, idx, axis=0, out=out, mode="clip")
+
+
+def scatter_add(emb, rows, updates, ws):
     """``emb[rows] += updates`` with repeated rows accumulated, as one sparse
     one-hot product; each row's updates are summed before the add.
+
+    The one-hot's data and column pointers are the leading entries of
+    ``ws.ones`` and ``ws.indptr``; int32 ``rows`` are used without a copy.
     """
     k = len(rows)
-    onehot = sp.csc_matrix((np.ones(k), rows, np.arange(k + 1)),
+    onehot = sp.csc_matrix((ws.ones[:k], rows, ws.indptr[:k + 1]),
                            shape=(emb.shape[0], k))
     emb += onehot @ updates
 
 
-def _line_step(emb, src, ctx, negs, lr):
+def _line_step(emb, src, ctx, negs, lr, ws):
     """One SGD step on edges (src, ctx) and noise rows ``negs``: every
     gradient reads the rows before the step (Hogwild-style), one scatter
     applies them, and noise draws that hit an edge endpoint are masked.
+
+    Every temporary is a slice of the run's workspace ``ws``: the gathered
+    rows, the dots and sigmoids, the mask, and the scatter's rows and update
+    matrix, into which the gradients are written in place (see
+    ``_SGDWorkspace`` for why).  A warm 4 096-edge step at n = 1 000, dim 10
+    and 5 negatives allocates about 130 KiB, mostly the one-hot product's
+    n x dim result.  Rows are gathered by ``_gather``, whose mode="clip" is
+    safe because every index is a node id.
     """
-    mask = (negs != src[:, None]) & (negs != ctx[:, None])
-    u_i = emb[src]
-    g_i_pos, g_j = line_positive_gradient(u_i, emb[ctx])
-    g_i_neg, g_negs = line_negative_gradient(u_i, emb[negs], mask)
-    scatter_add(emb, np.concatenate([src, ctx, negs.reshape(-1)]),
-                -lr * np.concatenate([g_i_pos + g_i_neg, g_j,
-                                      g_negs.reshape(-1, emb.shape[1])]))
+    c, k = negs.shape
+    end = c * (2 + k)
+    rows, upd = ws.rows[:end], ws.updates[:end]
+    mask = np.not_equal(negs, src[:, None], out=ws.mask[:c])
+    mask &= np.not_equal(negs, ctx[:, None], out=ws.hit[:c])
+    u_i = _gather(emb, src, ws.u_i[:c])
+    g_i = upd[:c]
+    line_positive_gradient(u_i, _gather(emb, ctx, ws.u_j[:c]),
+                           out=(g_i, upd[c:2 * c], ws.s_pos[:c]))
+    g_i_neg, _ = line_negative_gradient(
+        u_i, _gather(emb, negs, ws.u_negs[:c]), mask,
+        out=(ws.g_i_neg[:c], upd[2 * c:].reshape(c, k, -1), ws.s_neg[:c]))
+    g_i += g_i_neg
+    upd *= -lr
+    rows[:c], rows[c:2 * c], rows[2 * c:] = src, ctx, negs.reshape(-1)
+    scatter_add(emb, rows, upd, ws)
 
 
 def line1_embed(g, spec):
@@ -248,7 +318,8 @@ def line1_embed(g, spec):
     Edges are drawn proportionally to weight (alias method); per positive
     edge, ``spec.negatives`` noise nodes are drawn from the weighted-degree
     distribution raised to 3/4.  Rows start uniform in [-0.5/dim, 0.5/dim].
-    Isolated nodes are never sampled and keep their initialization.
+    Isolated nodes are never sampled and keep their initialization.  One
+    ``_SGDWorkspace`` per call holds every per-chunk temporary.
     """
     if spec.algorithm != LINE1:
         raise ValueError(f"spec.algorithm is {spec.algorithm!r}, expected {LINE1!r}")
@@ -260,6 +331,7 @@ def line1_embed(g, spec):
     edge_sampler = AliasTable(g.weights)
     noise = AliasTable(np.power(g.weighted_degrees, 0.75))
     m = g.m
+    ws = _SGDWorkspace(spec.negatives, dim)
     for t in range(spec.batches):
         lr_t = spec.lr * (1.0 - t / spec.batches)
         eidx = edge_sampler.draw(rng, m)
@@ -269,7 +341,7 @@ def line1_embed(g, spec):
         ctx = np.where(flip, g.edges[eidx, 0], g.edges[eidx, 1])
         for lo in range(0, m, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            _line_step(emb, src[sl], ctx[sl], negs[sl], lr_t)
+            _line_step(emb, src[sl], ctx[sl], negs[sl], lr_t, ws)
     return emb
 
 

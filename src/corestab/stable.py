@@ -16,8 +16,8 @@ from scipy.special import expit
 
 from ._util import derive_seed
 from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
-                    EmbedSpec, _line_step, embed_graph, line_base_loss,
-                    scatter_add)
+                    EmbedSpec, _gather, _line_step, _SGDWorkspace, embed_graph,
+                    line_base_loss, scatter_add)
 from .graph import Graph, core_decomposition
 
 log = logging.getLogger(__name__)
@@ -236,7 +236,8 @@ def stable_train(g, cfg, batches=None):
     ``lr * alpha``.  The learning rate decays linearly to zero.  ``batches``
     may supply precomputed per-batch edge-index arrays (reproducibility
     experiments); by default each batch draws uniformly over the augmented
-    edge list.
+    edge list.  One ``_SGDWorkspace`` per run holds the chunk temporaries
+    of the line1 base step and of the penalty step.
     """
     if cfg.alpha == 0:
         log.warning("alpha=0: the stability penalty is disabled")
@@ -277,6 +278,7 @@ def stable_train(g, cfg, batches=None):
     noise = AliasTable(np.power(g.weighted_degrees, 0.75)) if is_line else None
     rng_edges = np.random.default_rng(derive_seed(cfg.seed, "edge-stream"))
     rng_negs = np.random.default_rng(derive_seed(cfg.seed, "noise-stream"))
+    ws = _SGDWorkspace(cfg.negatives, cfg.dim)
 
     base_loss = np.empty(cfg.batches)
     stab_loss = np.empty(cfg.batches)
@@ -305,7 +307,7 @@ def stable_train(g, cfg, batches=None):
                     real_cursor += i_r.size
                     fl = flip[take]
                     _line_step(emb, np.where(fl, j_r, i_r),
-                               np.where(fl, i_r, j_r), negs[take], lr_t)
+                               np.where(fl, i_r, j_r), negs[take], lr_t, ws)
                 else:
                     w_r = weights[chunk][real_c]
                     u_i, u_j = emb[i_r], emb[j_r]
@@ -313,16 +315,21 @@ def stable_train(g, cfg, batches=None):
                     g_i = le_base_gradient(u_i, u_j, a_i, w_r, cfg.gamma, cfg.beta)
                     g_j = le_base_gradient(u_j, u_i, a_j, w_r, cfg.gamma, cfg.beta)
                     scatter_add(emb, np.concatenate([i_r, j_r]),
-                                -lr_t * np.concatenate([g_i, g_j]))
+                                -lr_t * np.concatenate([g_i, g_j]), ws)
             # the penalty reads the rows the base step above just wrote
             core_c = core_edge[chunk]
             if cfg.alpha > 0 and core_c.any():
                 c_i, c_j = i0[core_c], j0[core_c]
-                u_i, u_j = emb[c_i], emb[c_j]
+                c = len(c_i)
+                u_i = _gather(emb, c_i, ws.u_i[:c])
+                u_j = _gather(emb, c_j, ws.u_j[:c])
                 coef = (-lr_t * cfg.alpha * stability_coefficient(
                     u_i, u_j, ref_prox[chunk][core_c]))[:, None]
-                scatter_add(emb, np.concatenate([c_i, c_j]),
-                            np.concatenate([coef * u_j, coef * u_i]))
+                rows, upd = ws.rows[:2 * c], ws.updates[:2 * c]
+                rows[:c], rows[c:] = c_i, c_j
+                np.multiply(coef, u_j, out=upd[:c])
+                np.multiply(coef, u_i, out=upd[c:])
+                scatter_add(emb, rows, upd, ws)
         if is_line:
             base_loss[t] = line_base_loss(g, emb)
         else:

@@ -211,6 +211,28 @@ def add_at_oracle(n, rows, updates):
     return out
 
 
+def line_step_oracle(emb, src, ctx, negs, lr):
+    """The LINE SGD step written with fresh arrays for every temporary.
+
+    The same operations in the same order as ``_line_step``: gradients on
+    the pre-step rows, noise draws that hit an endpoint masked, the updates
+    concatenated as [src | ctx | negs] and added by one one-hot product.
+    """
+    mask = (negs != src[:, None]) & (negs != ctx[:, None])
+    u_i, u_j, u_negs = emb[src], emb[ctx], emb[negs]
+    c = expit(np.einsum("...d,...d->...", u_i, u_j)) - 1.0
+    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs)) * mask
+    g_i = c[:, None] * u_j + np.einsum("...k,...kd->...d", s, u_negs)
+    g_negs = s[..., None] * u_i[:, None, :]
+    rows = np.concatenate([src, ctx, negs.reshape(-1)])
+    upd = -lr * np.concatenate([g_i, c[:, None] * u_i,
+                                g_negs.reshape(-1, emb.shape[1])])
+    k = len(rows)
+    onehot = sp.csc_matrix((np.ones(k), rows, np.arange(k + 1)),
+                           shape=(emb.shape[0], k))
+    emb += onehot @ upd
+
+
 def sigmoid_proximity(u, v):
     """sigma(u . v); saturates instead of overflowing for huge dot products."""
     u = np.asarray(u, dtype=np.float64)

@@ -5,8 +5,9 @@ import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from scipy.special import expit
 
-from corestab.embed import (AliasTable, EigensolverError, EmbedSpec,
-                            _line_step, laplacian_eigenmaps, line1_embed,
+from corestab.embed import (_CHUNK, AliasTable, EigensolverError, EmbedSpec,
+                            _line_step, _SGDWorkspace, laplacian_eigenmaps,
+                            line1_embed,
                             line_negative_gradient, line_positive_gradient,
                             load_embedding_binary, load_embedding_csv,
                             save_embedding_binary, save_embedding_csv,
@@ -16,7 +17,7 @@ from corestab.graph import Graph
 from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
                       cluster_eigenvalues, complete_graph, component_count,
-                      dense_eigenmaps_oracle, line_gradients,
+                      dense_eigenmaps_oracle, line_gradients, line_step_oracle,
                       random_er, rw_normalized_laplacian, sigmoid_proximity)
 
 
@@ -491,7 +492,7 @@ class TestScatterAdd:
         upd = rng.normal(size=(3000,) + shape)
         base = rng.normal(size=(7,) + shape)
         emb = base.copy()
-        scatter_add(emb, rows, upd)
+        scatter_add(emb, rows, upd, _SGDWorkspace(1, 1))
         assert np.allclose(emb, base + add_at_oracle(7, rows, upd),
                            rtol=0, atol=1e-12)
         assert np.array_equal(emb[4:], base[4:])
@@ -501,7 +502,7 @@ class TestScatterAdd:
         rng = np.random.default_rng(9)
         upd = rng.normal(size=(1,) + shape)
         emb = np.zeros((2,) + shape)
-        scatter_add(emb, np.array([1]), upd)
+        scatter_add(emb, np.array([1]), upd, _SGDWorkspace(1, 1))
         assert np.array_equal(emb, add_at_oracle(2, [1], upd))
 
 
@@ -523,8 +524,57 @@ class TestLineStep:
         np.add.at(want, src, -lr * (g_i_pos + g_i_neg))
         np.add.at(want, ctx, -lr * g_j)
         np.add.at(want, negs.reshape(-1), -lr * g_negs.reshape(-1, dim))
-        _line_step(emb, src, ctx, negs, lr)
+        _line_step(emb, src, ctx, negs, lr, _SGDWorkspace(neg, dim))
         assert np.allclose(emb, want, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def draws(rng, n, b, neg):
+        return (rng.integers(0, n, size=b), rng.integers(0, n, size=b),
+                rng.integers(0, n, size=(b, neg)))
+
+    # (n, dim, edges, negatives): a full chunk, line1_embed's final partial
+    # chunk, stable's 1-edge real subset, one negative, three rows hit
+    # thousands of times each
+    @pytest.mark.parametrize("n,dim,b,neg", [
+        (1000, 10, _CHUNK, 5), (1000, 10, 1234, 5), (50, 7, 1, 5),
+        (300, 4, _CHUNK, 1), (3, 5, _CHUNK, 5)])
+    def test_bit_identical_to_allocating_oracle(self, n, dim, b, neg):
+        rng = np.random.default_rng(11)
+        emb = rng.normal(size=(n, dim))
+        want = emb.copy()
+        src, ctx, negs = self.draws(rng, n, b, neg)
+        _line_step(emb, src, ctx, negs, 0.05, _SGDWorkspace(neg, dim))
+        line_step_oracle(want, src, ctx, negs, 0.05)
+        assert np.array_equal(emb, want)
+
+    def test_workspace_reused_across_chunk_sizes(self):
+        rng = np.random.default_rng(12)
+        n, dim, neg = 200, 6, 3
+        emb = rng.normal(size=(n, dim))
+        want = emb.copy()
+        ws = _SGDWorkspace(neg, dim)
+        for b in (_CHUNK, 1, 1234, 17, _CHUNK):
+            src, ctx, negs = self.draws(rng, n, b, neg)
+            _line_step(emb, src, ctx, negs, 0.01 * b / _CHUNK, ws)
+            line_step_oracle(want, src, ctx, negs, 0.01 * b / _CHUNK)
+            assert np.array_equal(emb, want)
+
+    def test_warm_step_allocates_under_256_kib(self):
+        import tracemalloc
+        rng = np.random.default_rng(13)
+        n, dim, neg = 1000, 10, 5
+        emb = rng.normal(size=(n, dim)) * 0.01
+        src, ctx, negs = self.draws(rng, n, _CHUNK, neg)
+        ws = _SGDWorkspace(neg, dim)
+        _line_step(emb, src, ctx, negs, 0.05, ws)
+        tracemalloc.start()
+        try:
+            _line_step(emb, src, ctx, negs, 0.05, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the allocating step peaked at about 6 MiB here
+        assert peak < 256 * 1024
 
 
 class TestAliasTable:
