@@ -15,7 +15,7 @@ from .graph import (CorenessMap, Graph, SubgraphFeatures, core_completeness,
 from .regress import RegressionFit, RegressionSample, collect_samples, ols_fit
 from .share import (ShareReport, emd_1d, max_instability_shell,
                     pairwise_distribution, run_share)
-from .stable import (StableConfig, StableResult, degenerate_clique_augment,
-                     instability_penalty, isolated_core_embedding,
-                     le_base_gradient, stability_gradient, stable_train)
+from .stable import (StableConfig, StableResult, instability_penalty,
+                     isolated_core_embedding, le_base_gradient,
+                     stability_gradient, stable_train)
 from .synth import GenSpec, desk_graph, generate

@@ -2,10 +2,10 @@
 
 Train a base embedding objective plus a penalty that pins the first-order
 proximities among degenerate-core nodes to those of the core embedded in
-isolation.  Missing core pairs are materialized as zero-weight edges so the
-penalty gradient flows through ordinary edge sampling; a drawn edge applies
-the base update only when its weight is positive and the penalty update only
-when both endpoints sit in the degenerate core.
+isolation.  Each batch samples uniformly from the two sums the objective is
+made of: an edge of the graph takes the base update (only when its weight is
+positive), and an unordered pair of core nodes takes the penalty update.
+Core pairs are drawn directly, never materialized.
 """
 
 import logging
@@ -18,7 +18,7 @@ from ._util import derive_seed
 from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
                     EmbedSpec, _gather, _line_step, _SGDWorkspace, embed_graph,
                     line_base_loss, scatter_add)
-from .graph import Graph, core_decomposition
+from .graph import core_decomposition
 
 log = logging.getLogger(__name__)
 
@@ -158,42 +158,14 @@ def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
     return gamma * w[..., None] * (u_i - u_j) + beta * (u_i - u_i0)
 
 
-def degenerate_clique_augment(g, core):
-    """Add every missing core pair as a zero-weight edge.
-
-    The zero weight is the flag: the trainer's positive-weight guard keeps
-    the base update off these edges, so drawing one applies only the
-    stability update.
-    """
-    core = np.asarray(sorted(int(v) for v in np.asarray(core).ravel()),
-                      dtype=np.int64)
-    if len(core) < 2:
-        raise ValueError("need at least 2 core nodes")
-    ii, jj = np.triu_indices(len(core), 1)
-    pair_codes = core[ii] * g.n + core[jj]
-    edge_codes = g.edges[:, 0] * g.n + g.edges[:, 1]
-    missing = ~np.isin(pair_codes, edge_codes)
-    if not missing.any():
-        return Graph(g.n, g.edges, g.weights, g.orig_ids)
-    added = np.column_stack([core[ii[missing]], core[jj[missing]]])
-    edges = np.vstack([g.edges, added])
-    weights = np.concatenate([g.weights, np.zeros(len(added))])
-    return Graph(g.n, edges, weights, g.orig_ids)
-
-
-def proximity_gaps_squared(core_emb, core_ref):
-    """Squared first-order proximity gaps for all unordered core pairs.
-
-    Returns the per-pair values in upper-triangular row order; their sum is
-    the stability penalty.
-    """
+def _gap_blocks(core_emb, core_ref):
+    """Squared first-order proximity gaps of the core pairs (r, c), c > r,
+    one block of core rows at a time, in upper-triangular row order."""
     core_emb = np.asarray(core_emb, dtype=np.float64)
     core_ref = np.asarray(core_ref, dtype=np.float64)
     if core_emb.shape[0] != core_ref.shape[0]:
         raise ValueError("core embedding and reference row counts differ")
     k = core_emb.shape[0]
-    out = np.empty(k * (k - 1) // 2)
-    pos = 0
     for lo in range(0, k, _GAP_BLOCK):
         hi = min(k, lo + _GAP_BLOCK)
         with np.errstate(over="ignore"):
@@ -202,20 +174,34 @@ def proximity_gaps_squared(core_emb, core_ref):
         p = expit(np.clip(dots, -_DOT_CLIP, _DOT_CLIP))
         p_ref = expit(np.clip(dots_ref, -_DOT_CLIP, _DOT_CLIP))
         # row-major boolean indexing keeps the pairs (r, c), c > r, in order
-        seg = ((p - p_ref) ** 2)[np.arange(lo, hi)[:, None] < np.arange(k)]
+        yield ((p - p_ref) ** 2)[np.arange(lo, hi)[:, None] < np.arange(k)]
+
+
+def proximity_gaps_squared(core_emb, core_ref):
+    """Squared first-order proximity gaps for all unordered core pairs.
+
+    Returns the per-pair values in upper-triangular row order; their sum is
+    the stability penalty.
+    """
+    k = np.shape(core_emb)[0]
+    out = np.empty(k * (k - 1) // 2)
+    pos = 0
+    for seg in _gap_blocks(core_emb, core_ref):
         out[pos:pos + seg.size] = seg
         pos += seg.size
     return out
 
 
 def instability_penalty(emb, isolated_core, core):
-    """Sum of squared proximity gaps over all unordered core pairs."""
+    """Sum of squared proximity gaps over all unordered core pairs, summed
+    block by block without holding every gap."""
     core = np.asarray(core, dtype=np.int64)
     if isolated_core.shape[0] != len(core):
         raise ValueError("isolated-core rows do not match the core mapping")
     if len(core) and (core.min() < 0 or core.max() >= emb.shape[0]):
         raise ValueError("core ids outside embedding rows")
-    return float(proximity_gaps_squared(emb[core], isolated_core).sum())
+    blocks = _gap_blocks(emb[core], isolated_core)
+    return float(sum(seg.sum() for seg in blocks))
 
 
 def _le_base_loss(g, emb, init, gamma, beta):
@@ -226,18 +212,19 @@ def _le_base_loss(g, emb, init, gamma, beta):
         return gamma * edge_term + beta * float(((emb - init) ** 2).sum())
 
 
-def stable_train(g, cfg, batches=None):
-    """Stabilized SGD over the clique-augmented graph.
+def stable_train(g, cfg):
+    """Stabilized SGD: base steps on edges, penalty steps on core pairs.
 
     Follows the generic recipe: embed the isolated core and the full graph
-    with the base engine, augment with zero-weight core pairs, then run
-    ``cfg.batches`` sampling passes where drawn positive-weight edges take a
-    base gradient step and drawn core pairs take a stability step scaled by
-    ``lr * alpha``.  The learning rate decays linearly to zero.  ``batches``
-    may supply precomputed per-batch edge-index arrays (reproducibility
-    experiments); by default each batch draws uniformly over the augmented
-    edge list.  One ``_SGDWorkspace`` per run holds the chunk temporaries
-    of the line1 base step and of the penalty step.
+    with the base engine, then run ``cfg.batches`` sampling passes.  A batch
+    is m + k(k-1)/2 uniform draws over the two sums of the objective, made
+    one chunk at a time: a draw below m is that edge of ``g`` and takes a
+    base gradient step when its weight is positive; any other draw is a
+    uniform unordered pair of the k core nodes and takes a stability step
+    scaled by ``lr * alpha``.  So each edge gets one base update and each
+    core pair one penalty update per batch in expectation.  The learning
+    rate decays linearly to zero.  One ``_SGDWorkspace`` per run holds the
+    chunk temporaries of the line1 base step and of the penalty step.
     """
     if cfg.alpha == 0:
         log.warning("alpha=0: the stability penalty is disabled")
@@ -259,24 +246,11 @@ def stable_train(g, cfg, batches=None):
         g, init_spec.with_seed(derive_seed(cfg.seed, "full-init"))))
     init = emb.copy()
 
-    aug = degenerate_clique_augment(g, core)
-    edges, weights = aug.edges, aug.weights
-    m_aug = aug.m
-    n = g.n
-
-    in_core = np.zeros(n, dtype=bool)
-    in_core[core] = True
-    core_pos = np.full(n, -1, dtype=np.int64)
-    core_pos[core] = np.arange(len(core))
-    core_edge = in_core[edges[:, 0]] & in_core[edges[:, 1]]
-    # reference proximities are fixed; precompute them per augmented edge
-    ref_prox = np.zeros(m_aug)
-    ref_prox[core_edge] = _clipped_sigmoid_rows(
-        ref[core_pos[edges[core_edge, 0]]], ref[core_pos[edges[core_edge, 1]]])
-
+    edges, weights, m, k = g.edges, g.weights, g.m, len(core)
+    draws = m + k * (k - 1) // 2
     is_line = cfg.base == LINE1
     noise = AliasTable(np.power(g.weighted_degrees, 0.75)) if is_line else None
-    rng_edges = np.random.default_rng(derive_seed(cfg.seed, "edge-stream"))
+    rng_draws = np.random.default_rng(derive_seed(cfg.seed, "edge-stream"))
     rng_negs = np.random.default_rng(derive_seed(cfg.seed, "noise-stream"))
     ws = _SGDWorkspace(cfg.negatives, cfg.dim)
 
@@ -284,32 +258,19 @@ def stable_train(g, cfg, batches=None):
     stab_loss = np.empty(cfg.batches)
     for t in range(cfg.batches):
         lr_t = cfg.lr * (1.0 - t / cfg.batches)
-        if batches is not None:
-            idx = np.asarray(batches[t], dtype=np.int64)
-        else:
-            idx = rng_edges.integers(0, m_aug, size=m_aug)
-        real = weights[idx] > 0
-        # draw all per-batch randomness up front so the noise stream depends
-        # only on the sequence of positive-weight draws, not on chunking
-        if is_line:
-            n_real = int(real.sum())
-            flip = rng_negs.random(n_real) < 0.5
-            negs = noise.draw(rng_negs, (n_real, cfg.negatives))
-        real_cursor = 0
-        for lo in range(0, len(idx), _CHUNK):
-            chunk = idx[lo:lo + _CHUNK]
-            i0, j0 = edges[chunk, 0], edges[chunk, 1]
-            real_c = real[lo:lo + _CHUNK]
-            if real_c.any():
-                i_r, j_r = i0[real_c], j0[real_c]
+        for lo in range(0, draws, _CHUNK):
+            idx = rng_draws.integers(0, draws, size=min(_CHUNK, draws - lo))
+            drawn = idx[idx < m]
+            e = drawn[weights[drawn] > 0]
+            if e.size:
+                i_r, j_r = edges[e, 0], edges[e, 1]
                 if is_line:
-                    take = slice(real_cursor, real_cursor + i_r.size)
-                    real_cursor += i_r.size
-                    fl = flip[take]
+                    fl = rng_negs.random(e.size) < 0.5
+                    negs = noise.draw(rng_negs, (e.size, cfg.negatives))
                     _line_step(emb, np.where(fl, j_r, i_r),
-                               np.where(fl, i_r, j_r), negs[take], lr_t, ws)
+                               np.where(fl, i_r, j_r), negs, lr_t, ws)
                 else:
-                    w_r = weights[chunk][real_c]
+                    w_r = weights[e]
                     u_i, u_j = emb[i_r], emb[j_r]
                     a_i, a_j = init[i_r], init[j_r]
                     g_i = le_base_gradient(u_i, u_j, a_i, w_r, cfg.gamma, cfg.beta)
@@ -317,15 +278,21 @@ def stable_train(g, cfg, batches=None):
                     scatter_add(emb, np.concatenate([i_r, j_r]),
                                 -lr_t * np.concatenate([g_i, g_j]), ws)
             # the penalty reads the rows the base step above just wrote
-            core_c = core_edge[chunk]
-            if cfg.alpha > 0 and core_c.any():
-                c_i, c_j = i0[core_c], j0[core_c]
-                c = len(c_i)
+            c = len(idx) - len(drawn)
+            if cfg.alpha > 0 and c:
+                # (r, r + offset) mod k is a uniform ordered pair of distinct
+                # core positions: each unordered pair has chance 1/(k choose 2)
+                pos_i = rng_draws.integers(0, k, size=c)
+                pos_j = (pos_i + rng_draws.integers(1, k, size=c)) % k
+                c_i, c_j = core[pos_i], core[pos_j]
                 u_i = _gather(emb, c_i, ws.u_i[:c])
                 u_j = _gather(emb, c_j, ws.u_j[:c])
-                coef = (-lr_t * cfg.alpha * stability_coefficient(
-                    u_i, u_j, ref_prox[chunk][core_c]))[:, None]
                 rows, upd = ws.rows[:2 * c], ws.updates[:2 * c]
+                # the reference rows borrow the update buffer until s_hat
+                s_hat = _clipped_sigmoid_rows(_gather(ref, pos_i, upd[:c]),
+                                              _gather(ref, pos_j, upd[c:]))
+                coef = (-lr_t * cfg.alpha * stability_coefficient(
+                    u_i, u_j, s_hat))[:, None]
                 rows[:c], rows[c:] = c_i, c_j
                 np.multiply(coef, u_j, out=upd[:c])
                 np.multiply(coef, u_i, out=upd[c:])

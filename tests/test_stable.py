@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,13 +10,13 @@ import corestab.stable as stable_mod
 from corestab.embed import EmbedSpec, embed_graph
 from corestab.graph import Graph, core_decomposition
 from corestab.stable import (StableConfig, TrainingDivergence,
-                             degenerate_clique_augment, instability_penalty,
-                             isolated_core_embedding, le_base_gradient,
-                             proximity_gaps_squared, stability_gradient,
-                             stable_train)
+                             instability_penalty, isolated_core_embedding,
+                             le_base_gradient, proximity_gaps_squared,
+                             stability_gradient, stable_train)
 from corestab.synth import desk_graph
 
-from conftest import central_difference, complete_graph, sigmoid_proximity
+from conftest import (ba_with_pendants, central_difference, complete_graph,
+                      sigmoid_proximity)
 
 
 def vec_for_sigma(p):
@@ -62,6 +64,17 @@ class TestInstabilityPenalty:
         assert gaps.size == 6
         assert gaps.sum() == pytest.approx(
             instability_penalty(emb, ref, core))
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        emb = rng.normal(size=(9, 3))
+        ref = rng.normal(size=(7, 3))
+        core = np.array([0, 1, 2, 4, 5, 7, 8])
+        gaps = proximity_gaps_squared(emb[core], ref)
+        penalty = instability_penalty(emb, ref, core)
+        monkeypatch.setattr(stable_mod, "_GAP_BLOCK", 3)
+        assert np.array_equal(proximity_gaps_squared(emb[core], ref), gaps)
+        assert instability_penalty(emb, ref, core) == pytest.approx(penalty)
 
 
 class TestStabilityGradient:
@@ -150,30 +163,6 @@ class TestLeBaseGradient:
             le_base_gradient(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 1, 1)
 
 
-class TestDegenerateCliqueAugment:
-    def test_clique_unchanged(self):
-        g = complete_graph(5)
-        aug = degenerate_clique_augment(g, np.arange(5))
-        assert aug.m == g.m
-        assert (aug.weights > 0).all()
-
-    def test_adds_missing_pairs_with_zero_weight(self):
-        # 4-node cycle as the core: C(4,2)=6 pairs, 4 present -> 2 added
-        g = Graph(5, [[0, 1], [1, 2], [2, 3], [0, 3], [3, 4]])
-        aug = degenerate_clique_augment(g, [0, 1, 2, 3])
-        assert aug.m == g.m + 2
-        zero = aug.weights == 0
-        assert zero.sum() == 2
-        added = {tuple(e) for e in aug.edges[zero].tolist()}
-        assert added == {(0, 2), (1, 3)}
-
-    def test_existing_weights_kept(self):
-        g = Graph(3, [[0, 1], [1, 2]], weights=[2.5, 4.0])
-        aug = degenerate_clique_augment(g, [0, 1, 2])
-        key = {tuple(e): w for e, w in zip(aug.edges.tolist(), aug.weights)}
-        assert key[(0, 1)] == 2.5 and key[(1, 2)] == 4.0 and key[(0, 2)] == 0.0
-
-
 class TestIsolatedCoreEmbedding:
     def test_single_edge_core(self):
         g = Graph(2, [[0, 1]])
@@ -244,20 +233,82 @@ class TestStableTrain:
         assert any("alpha=0" in r.message for r in caplog.records)
         assert np.isfinite(result.embeddings).all()
 
-    def test_zero_weight_edges_never_touch_base_updates(self):
-        # with the penalty off, dropping every augmented draw from the
-        # batch stream must reproduce the run bit for bit
-        g = desk_graph()
-        cfg = StableConfig.for_base("line1", dim=3, batches=12, seed=7,
-                                    alpha=0.0)
-        cm = core_decomposition(g)
-        aug = degenerate_clique_augment(g, cm.degenerate_core)
-        rng = np.random.default_rng(99)
-        full = [rng.integers(0, aug.m, size=aug.m) for _ in range(12)]
-        real_only = [b[aug.weights[b] > 0] for b in full]
-        with_aug = stable_train(g, cfg, batches=full)
-        without_aug = stable_train(g, cfg, batches=real_only)
-        assert np.array_equal(with_aug.embeddings, without_aug.embeddings)
+    def test_zero_weight_edges_never_touch_base_updates(self, monkeypatch):
+        g0 = desk_graph()
+        weights = g0.weights.copy()
+        core = set(core_decomposition(g0).degenerate_core.tolist())
+        in_core = [i for i, (a, b) in enumerate(g0.edges.tolist())
+                   if a in core and b in core]
+        weights[in_core[0]] = 0.0
+        g = Graph(g0.n, g0.edges, weights)
+        positive = {tuple(e) for e, w in zip(g.edges.tolist(), g.weights)
+                    if w > 0}
+        pairs = []
+        real = stable_mod._line_step
+
+        def spy(emb, src, ctx, negs, lr, ws):
+            pairs.extend(zip(src.tolist(), ctx.tolist()))
+            return real(emb, src, ctx, negs, lr, ws)
+
+        monkeypatch.setattr(stable_mod, "_line_step", spy)
+        stable_train(g, StableConfig.for_base("line1", dim=3, batches=12,
+                                              seed=7))
+        assert pairs
+        assert all((min(p), max(p)) in positive for p in pairs)
+
+    def test_pair_draws_cover_core_pairs_uniformly(self, monkeypatch):
+        # K10 with ten pendants: the core is the clique, k = 10, 45 pairs
+        k, batches = 10, 500
+        clique = complete_graph(k)
+        leaves = np.column_stack([np.arange(k), np.arange(k, 2 * k)])
+        g = Graph(2 * k, np.vstack([clique.edges, leaves]))
+        n_pairs = k * (k - 1) // 2
+        pairs, per_batch, draws = [], [], [0]
+        real_step, real_scatter = stable_mod._line_step, stable_mod.scatter_add
+        real_loss = stable_mod.line_base_loss
+
+        def step_spy(emb, src, ctx, negs, lr, ws):
+            draws[0] += len(src)
+            return real_step(emb, src, ctx, negs, lr, ws)
+
+        def scatter_spy(emb, rows, updates, ws):
+            # with the line1 base only the penalty step scatters from here
+            c = len(rows) // 2
+            pairs.extend(zip(rows[:c].tolist(), rows[c:].tolist()))
+            draws[0] += c
+            return real_scatter(emb, rows, updates, ws)
+
+        def loss_spy(graph, emb):
+            # called once at the end of each batch
+            per_batch.append(draws[0])
+            draws[0] = 0
+            return real_loss(graph, emb)
+
+        monkeypatch.setattr(stable_mod, "_line_step", step_spy)
+        monkeypatch.setattr(stable_mod, "scatter_add", scatter_spy)
+        monkeypatch.setattr(stable_mod, "line_base_loss", loss_spy)
+        stable_train(g, StableConfig.for_base("line1", dim=3,
+                                              batches=batches, seed=4))
+        assert per_batch == [g.m + n_pairs] * batches
+        assert len(pairs) >= 20_000
+        assert all(i != j and i < k and j < k for i, j in pairs)
+        counts = Counter((min(p), max(p)) for p in pairs)
+        assert len(counts) == n_pairs
+        mean = len(pairs) / n_pairs
+        assert all(abs(c - mean) <= 0.25 * mean for c in counts.values())
+
+    def test_memory_stays_below_the_pair_count(self):
+        # a 2 000-node core has 1 999 000 pairs; holding them as zero-weight
+        # edges and per-edge arrays peaks at about 235 MiB
+        g = ba_with_pendants(2000, 3, 200, 3)
+        cfg = StableConfig.for_base("line1", dim=4, batches=1, seed=0)
+        tracemalloc.start()
+        try:
+            stable_train(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
 
     def test_high_alpha_pins_clique_proximities(self):
         g = complete_graph(10)
