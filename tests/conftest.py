@@ -111,6 +111,23 @@ def naive_coreness(g):
     return core
 
 
+def edge_list_oracle(path):
+    """Line-by-line reading of a valid edge list: (sorted original ids,
+    {(lo, hi): last weight}), self-loops and their only-loop nodes left out."""
+    edges, nodes = {}, set()
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            u, v = int(parts[0]), int(parts[1])
+            if u != v:
+                nodes.update((u, v))
+                edges[(min(u, v), max(u, v))] = \
+                    float(parts[2]) if len(parts) == 3 else 1.0
+    return sorted(nodes), edges
+
+
 def edge_loop_features(g):
     """Per-edge set-intersection oracle for ``subgraph_features``.
 

@@ -7,8 +7,9 @@ from corestab.graph import (Graph, GraphParseError, core_completeness,
                             subgraph_features)
 
 from conftest import (add_at_oracle, complete_graph, component_count,
-                      edge_loop_features, kcore_features_oracle,
-                      naive_coreness, neighbors, random_er)
+                      edge_list_oracle, edge_loop_features,
+                      kcore_features_oracle, naive_coreness, neighbors,
+                      random_er)
 
 
 def write(tmp_path, text):
@@ -62,6 +63,103 @@ class TestLoadEdgeList:
     def test_negative_id(self, tmp_path):
         with pytest.raises(GraphParseError):
             load_edge_list(write(tmp_path, "-1 2\n"))
+
+    def test_mixed_two_and_three_columns(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "0 1\n1 2 2.5\n2 0\n3 2 0\n"))
+        got = {tuple(e): w for e, w in zip(g.edges.tolist(), g.weights)}
+        assert got == {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 2.5, (2, 3): 0.0}
+
+    def test_tabs_and_crlf(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"0\t1\r\n1 \t2\t3.5\r\n\r\n2\t0  \r\n")
+        g = load_edge_list(str(p))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert g.weights.tolist() == [1.0, 1.0, 3.5]
+
+    def test_crlf_error_names_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"0 1\r\n1 2\r\n2 y\r\n")
+        with pytest.raises(GraphParseError, match=r":3: non-integer node id"):
+            load_edge_list(str(p))
+
+    def test_indented_comment(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "  # note 1 2\n\t#\n0 1\n"))
+        assert g.n == 2 and g.m == 1
+
+    def test_trailing_comment_is_a_fourth_token(self, tmp_path):
+        with pytest.raises(GraphParseError,
+                           match=r":2: expected 'u v' or 'u v w', "
+                                 r"got '0 1 # c'"):
+            load_edge_list(write(tmp_path, "1 2\n0 1 # c\n"))
+
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_weight(self, tmp_path, w):
+        with pytest.raises(GraphParseError,
+                           match=r":2: non-finite weight in '1 2 "):
+            load_edge_list(write(tmp_path, f"0 1 1\n1 2 {w}\n"))
+
+    def test_bad_weight(self, tmp_path):
+        with pytest.raises(GraphParseError, match=r":1: bad weight in '0 1 w'"):
+            load_edge_list(write(tmp_path, "0 1 w\n"))
+
+    def test_fractional_id(self, tmp_path):
+        with pytest.raises(GraphParseError,
+                           match=r":2: non-integer node id in '2 1.5'"):
+            load_edge_list(write(tmp_path, "0 1\n2 1.5\n"))
+
+    @pytest.mark.parametrize("line", ["7", "0 1 2 3"])
+    def test_wrong_token_count(self, tmp_path, line):
+        with pytest.raises(GraphParseError,
+                           match=rf":2: expected 'u v' or 'u v w', "
+                                 rf"got '{line}'"):
+            load_edge_list(write(tmp_path, f"0 1\n  {line}  \n"))
+
+    def test_reversed_duplicates_keep_last_weight(self, tmp_path):
+        g = load_edge_list(write(
+            tmp_path, "0 1 2\n2 3 4\n1 0 5\n3 2\n0 1 7\n2 3 0.5\n"))
+        assert g.edges.tolist() == [[0, 1], [2, 3]]
+        assert g.weights.tolist() == [7.0, 0.5]
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n"])
+    def test_no_edges(self, tmp_path, text):
+        g = load_edge_list(write(tmp_path, text))
+        assert g.n == 0 and g.m == 0
+        assert g.edges.shape == (0, 2) and g.orig_ids.dtype == np.int64
+
+    @pytest.mark.parametrize("text, want", [
+        ("0 1\n0 1 2 3\n1 x\n", r":2: expected 'u v' or 'u v w'"),
+        ("0 1\n1 x\n0 1 2 3\n", r":2: non-integer node id"),
+        ("0 1\n0 1 -2\n-1 3\n", r":2: negative weight -2.0"),
+        ("0 1\n-1 3\n0 1 nan\n", r":2: negative node id"),
+        ("0 1 inf\n0 1 2 3\n", r":1: non-finite weight"),
+        ("# c\n\n5\n1 2 x\n", r":3: expected 'u v' or 'u v w'"),
+    ])
+    def test_first_offending_line_is_named(self, tmp_path, text, want):
+        with pytest.raises(GraphParseError, match=want):
+            load_edge_list(write(tmp_path, text))
+
+    def test_matches_line_oracle_on_random_files(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            lines = []
+            for _ in range(int(rng.integers(0, 300))):
+                u, v = rng.integers(0, 40, size=2) * 1000003
+                r = rng.random()
+                if r < 0.05:
+                    lines.append(" # comment")
+                elif r < 0.1:
+                    lines.append("")
+                elif r < 0.5:
+                    lines.append(f"{u}\t{v} {rng.exponential():.6g}")
+                else:
+                    lines.append(f" {u} {v}")
+            path = write(tmp_path, "\r\n".join(lines))
+            g = load_edge_list(path)
+            ids, edges = edge_list_oracle(path)
+            assert g.orig_ids.tolist() == ids
+            got = {(ids[i], ids[j]): w
+                   for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())}
+            assert got == edges
 
 
 class TestGraph:
@@ -144,6 +242,52 @@ class TestCoreDecomposition:
     def test_coreness_bounded_by_degree(self, karate):
         cm = core_decomposition(karate)
         assert (cm.coreness <= karate.degrees).all()
+
+    def test_long_path(self):
+        n = 100_000
+        g = Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
+        cm = core_decomposition(g)
+        assert cm.k_max == 1 and (cm.coreness == 1).all()
+        assert np.array_equal(cm.degenerate_core, np.arange(n))
+
+    def test_random_tree(self):
+        n = 100_000
+        rng = np.random.default_rng(8)
+        child = np.arange(1, n)
+        g = Graph(n, np.column_stack([rng.integers(0, child), child]))
+        cm = core_decomposition(g)
+        assert cm.k_max == 1 and (cm.coreness == 1).all()
+        assert cm.coreness.dtype == np.int64
+
+    def test_star(self):
+        g = Graph(50, [[7, i] for i in range(50) if i != 7])
+        cm = core_decomposition(g)
+        assert (cm.coreness == 1).all() and cm.k_max == 1
+
+    def test_clique_with_tail(self):
+        k6 = complete_graph(6).edges.tolist()
+        tail = [[0, 6], [6, 7], [7, 8], [8, 9]]
+        g = Graph(10, k6 + tail)
+        cm = core_decomposition(g)
+        assert cm.coreness.tolist() == [5] * 6 + [1] * 4
+        assert cm.k_max == 5 and cm.degenerate_core.tolist() == list(range(6))
+
+    def test_disconnected_union(self):
+        k4 = complete_graph(4).edges.tolist()
+        c5 = [[4 + i, 4 + (i + 1) % 5] for i in range(5)]
+        g = Graph(12, k4 + c5 + [[9, 10]])
+        cm = core_decomposition(g)
+        assert cm.coreness.tolist() == [3] * 4 + [2] * 5 + [1, 1, 0]
+        assert np.array_equal(cm.coreness, naive_coreness(g))
+        assert cm.degenerate_core.tolist() == [0, 1, 2, 3]
+
+    def test_isolated_nodes(self):
+        cm = core_decomposition(Graph(5, [[1, 3]]))
+        assert cm.coreness.tolist() == [0, 1, 0, 1, 0]
+        assert cm.k_max == 1 and cm.degenerate_core.tolist() == [1, 3]
+        cm = core_decomposition(Graph(3, np.zeros((0, 2))))
+        assert cm.coreness.tolist() == [0, 0, 0] and cm.k_max == 0
+        assert cm.degenerate_core.tolist() == [0, 1, 2]
 
 
 def features(g):
