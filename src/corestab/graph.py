@@ -12,6 +12,14 @@ class GraphParseError(ValueError):
     """Malformed edge-list input."""
 
 
+def _pair_order(a, b, n):
+    """An order that sorts the pairs (a[i], b[i]) of ids in 0..n-1
+    lexicographically; equal pairs come in no fixed order."""
+    if n <= 3_037_000_499:  # n * n - 1 fits in int64
+        return np.argsort(a * n + b)
+    return np.lexsort((b, a))
+
+
 class Graph:
     """Undirected weighted simple graph over dense node ids 0..n-1.
 
@@ -38,7 +46,7 @@ class Graph:
                 raise ValueError("negative edge weight")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            order = np.lexsort((hi, lo))
+            order = _pair_order(lo, hi, n)
             edges = np.column_stack([lo[order], hi[order]])
             weights = weights[order]
             dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
@@ -82,7 +90,7 @@ class Graph:
             src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
             dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
             w = np.concatenate([self.weights, self.weights])
-            order = np.lexsort((dst, src))
+            order = _pair_order(src, dst, self.n)
             src, dst, w = src[order], dst[order], w[order]
             indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
@@ -132,67 +140,113 @@ class SubgraphFeatures:
         }
 
 
+# str.split() separates tokens at exactly the characters for which
+# str.isspace() holds, and none lies above U+3000; the last entry stands
+# for every code point above
+_IS_SPACE = np.array(list(map(str.isspace, map(chr, range(0x3002)))))
+
+
 def load_edge_list(path):
     """Parse a whitespace-separated edge list into a Graph.
 
-    Lines are ``u v`` or ``u v w`` with nonnegative integer ids; ``#`` starts
-    a comment line.  Ids are remapped to dense 0..n-1 (original ids kept on
-    the Graph).  Duplicate edges collapse keeping the last weight; self-loops
-    are dropped with a logged count, and so are nodes that appear only in
-    self-loops.
+    A line is ``u v`` or ``u v w``; the two forms may be mixed.  Ids are
+    decimal integers in 0..2^63-1, weights finite floats >= 0 (1.0 when
+    absent).  A line whose first token starts with ``#`` is a comment, and
+    blank lines are skipped.  Line ends are read as universal newlines, so
+    CRLF files load too.  Ids are remapped to dense 0..n-1 in id order
+    (original ids kept on the Graph).  Duplicate edges collapse keeping the
+    last weight; self-loops are dropped with a logged count, and so are
+    nodes that appear only in self-loops.  A malformed file raises
+    ``GraphParseError`` naming its first offending line.
+
+    The text is split once by ``str.split``, every token's line is found
+    from the code points of the text, and the id and weight tokens are each
+    converted by one numpy cast, so no Python code runs per edge.
     """
-    edges = {}
-    nodes = set()
-    loop_nodes = set()
-    self_loops = 0
     with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split()
-            if len(parts) not in (2, 3):
-                raise GraphParseError(
-                    f"{path}:{ln}: expected 'u v' or 'u v w', got {s!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"{path}:{ln}: non-integer node id in {s!r}")
-            if u < 0 or v < 0:
-                raise GraphParseError(f"{path}:{ln}: negative node id in {s!r}")
-            w = 1.0
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphParseError(f"{path}:{ln}: bad weight in {s!r}")
-                if not np.isfinite(w):
-                    raise GraphParseError(f"{path}:{ln}: non-finite weight in {s!r}")
-                if w < 0:
-                    raise GraphParseError(f"{path}:{ln}: negative weight {w}")
-            if u == v:
-                self_loops += 1
-                loop_nodes.add(u)
-                continue
-            nodes.add(u)
-            nodes.add(v)
-            edges[(min(u, v), max(u, v))] = w
-    if self_loops:
+        text = fh.read()
+    tokens = np.array(text.split(), dtype=object)
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = _IS_SPACE.take(codes, mode="clip")
+    head = ~space  # a token starts at a non-space after a space
+    head[1:] &= space[:-1]
+    starts = np.flatnonzero(head)
+    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+    counts = np.diff(first, append=len(tokens))
+    data = codes[starts[first]] != ord("#")
+    first, counts = first[data], counts[data]
+    try:
+        if not ((counts == 2) | (counts == 3)).all():
+            raise ValueError("a line without 2 or 3 tokens")
+        ids = tokens[np.column_stack([first, first + 1])].astype(np.int64)
+        three = counts == 3
+        weights = np.ones(len(first))
+        weights[three] = tokens[first[three] + 2].astype(np.float64)
+        if (ids < 0).any() or not ((weights >= 0) & (weights < np.inf)).all():
+            raise ValueError("a negative id or weight, or a non-finite weight")
+    except (ValueError, OverflowError):
+        raise GraphParseError(_first_fault(path, text)) from None
+
+    u, v = ids.T
+    loop = u == v
+    lo, hi = np.minimum(u, v)[~loop], np.maximum(u, v)[~loop]
+    orig, dense = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    if loop.any():
         log.warning("%s: dropped %d self-loop(s) and %d node(s) with only "
-                    "self-loops", path, self_loops, len(loop_nodes - nodes))
-    orig = np.array(sorted(nodes), dtype=np.int64)
-    remap = {int(o): i for i, o in enumerate(orig)}
-    if edges:
-        e = np.array([[remap[a], remap[b]] for a, b in edges], dtype=np.int64)
-        w = np.array(list(edges.values()))
-    else:
-        e = np.zeros((0, 2), dtype=np.int64)
-        w = np.zeros(0)
-    return Graph(len(orig), e, w, orig)
+                    "self-loops", path, loop.sum(),
+                    len(np.setdiff1d(u[loop], orig)))
+    i, j = np.split(dense, 2)
+    order = _pair_order(i, j, len(orig))
+    i, j = i[order], j[order]
+    run = np.flatnonzero(np.diff(i, prepend=-1) | np.diff(j, prepend=-1))
+    # the largest file place in a run of equal pairs is the pair's last copy
+    last = np.maximum.reduceat(order, run)
+    return Graph(len(orig), np.column_stack([i[run], j[run]]),
+                 weights[~loop][last], orig)
+
+
+def _first_fault(path, text):
+    """The error message for the first malformed line of ``text``."""
+    for ln, line in enumerate(text.split("\n"), start=1):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        parts = s.split()
+        if len(parts) not in (2, 3):
+            return f"{path}:{ln}: expected 'u v' or 'u v w', got {s!r}"
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return f"{path}:{ln}: non-integer node id in {s!r}"
+        if u < 0 or v < 0:
+            return f"{path}:{ln}: negative node id in {s!r}"
+        if max(u, v) >= 2 ** 63:
+            return f"{path}:{ln}: node id above 2^63 - 1 in {s!r}"
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                return f"{path}:{ln}: bad weight in {s!r}"
+            if not np.isfinite(w):
+                return f"{path}:{ln}: non-finite weight in {s!r}"
+            if w < 0:
+                return f"{path}:{ln}: negative weight {w}"
+    return f"{path}: malformed edge list"
 
 
 def core_decomposition(g):
-    """Coreness of every node by iterative min-degree peeling (O(n + m)).
+    """Coreness of every node by min-degree peeling in O(n + m).
+
+    This is the bin-sort algorithm of Batagelj & Zaversnik (2003, "An O(m)
+    algorithm for cores decomposition of networks"): nodes sit in an array
+    sorted by current degree, with the start of each degree's block kept in
+    ``bins``; taking nodes in array order, each neighbour of higher current
+    degree is swapped to the front of its block, which then moves up one
+    place, and its degree drops by one.  The loop runs on Python lists:
+    numpy scalar indexing costs several times more per step, and peeling
+    all minimum-degree nodes at once in vectorised rounds needs as many
+    rounds as the graph's longest peeling chain (n / 2 on a path).
 
     The output is independent of tie-breaking; ``degenerate_core`` is the
     node set of the maximal k_max-core.
@@ -201,34 +255,32 @@ def core_decomposition(g):
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return CorenessMap(empty, 0, empty)
-    deg = g.degrees.astype(np.int64).copy()
-    max_deg = int(deg.max())
-    vert = np.argsort(deg, kind="stable").astype(np.int64)
+    deg = g.degrees
+    vert = np.argsort(deg, kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[vert] = np.arange(n)
-    bins = np.zeros(max_deg + 2, dtype=np.int64)
-    np.cumsum(np.bincount(deg, minlength=max_deg + 1), out=bins[1:])
-    bins = bins[:max_deg + 1].copy()
+    sizes = np.bincount(deg)
+    bins = np.cumsum(sizes) - sizes
     indptr, nbrs, _ = g.adjacency()
-    for i in range(n):
-        v = vert[i]
+    deg, vert, pos, bins = deg.tolist(), vert.tolist(), pos.tolist(), bins.tolist()
+    indptr, nbrs = indptr.tolist(), nbrs.tolist()
+    # swaps only touch places after the current one, so the list iterator
+    # reads every node in its final place
+    for v in vert:
         dv = deg[v]
         for u in nbrs[indptr[v]:indptr[v + 1]]:
-            if deg[u] > dv:
-                du = deg[u]
-                pu = pos[u]
-                pw = bins[du]
+            du = deg[u]
+            if du > dv:
+                pu, pw = pos[u], bins[du]
                 w = vert[pw]
                 if u != w:
-                    vert[pu] = w
-                    vert[pw] = u
-                    pos[u] = pw
-                    pos[w] = pu
-                bins[du] += 1
-                deg[u] -= 1
-    k_max = int(deg.max())
-    core_nodes = np.flatnonzero(deg == k_max).astype(np.int64)
-    return CorenessMap(deg, k_max, core_nodes)
+                    vert[pu], vert[pw] = w, u
+                    pos[u], pos[w] = pw, pu
+                bins[du] = pw + 1
+                deg[u] = du - 1
+    coreness = np.array(deg, dtype=np.int64)
+    k_max = int(coreness.max())
+    return CorenessMap(coreness, k_max, np.flatnonzero(coreness == k_max))
 
 
 # wedges listed per block of source edges; bounds the triangle listing's memory

@@ -70,6 +70,13 @@ class TestKcore:
         assert main(["kcore", "--graph", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_id_above_int64_exit_2(self, tmp_path, caplog):
+        bad = tmp_path / "big.txt"
+        bad.write_text("0 1\n1 99999999999999999999\n")
+        assert main(["kcore", "--graph", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "big.txt:2: node id above 2^63 - 1" in caplog.text
+
     @pytest.mark.parametrize("name", ["karate", "ba_pendants"])
     def test_core_features_match_per_k_oracle(self, tmp_path, karate, name):
         from corestab.graph import core_decomposition

@@ -82,8 +82,34 @@ class TestLoadEdgeList:
         with pytest.raises(GraphParseError, match=r":3: non-integer node id"):
             load_edge_list(str(p))
 
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"0 1\r1 2 4\r")
+        g = load_edge_list(str(p))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.weights.tolist() == [1.0, 4.0]
+
+    def test_unicode_whitespace_separates_but_does_not_end_lines(
+            self, tmp_path):
+        g = load_edge_list(write(tmp_path, "0\u30001\n1\xa02\u2003\n"))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        with pytest.raises(GraphParseError,
+                           match=r":2: expected 'u v' or 'u v w'"):
+            load_edge_list(write(tmp_path, "0 1\n0 1\x0b2 3\n"))
+
+    def test_id_above_int64_names_line(self, tmp_path):
+        with pytest.raises(GraphParseError,
+                           match=r":2: node id above 2\^63 - 1 in "
+                                 r"'1 99999999999999999999'"):
+            load_edge_list(write(tmp_path, "0 1\n1 99999999999999999999\n"))
+        with pytest.raises(GraphParseError, match=r":1: node id above"):
+            load_edge_list(write(tmp_path, f"{2**63} {2**63}\n"))
+        g = load_edge_list(write(tmp_path, f"0 {2**63 - 1}\n"))
+        assert g.orig_ids.tolist() == [0, 2**63 - 1]
+
     def test_indented_comment(self, tmp_path):
-        g = load_edge_list(write(tmp_path, "  # note 1 2\n\t#\n0 1\n"))
+        g = load_edge_list(write(tmp_path,
+                                 "  # note 1 2\n\t#\n0 1\n #nodes: 2\n"))
         assert g.n == 2 and g.m == 1
 
     def test_trailing_comment_is_a_fourth_token(self, tmp_path):
@@ -204,6 +230,30 @@ class TestGraph:
         assert np.array_equal(got.edges, want.edges)
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.orig_ids, want.orig_ids)
+
+    @pytest.mark.parametrize("n", [50, 2**40])
+    def test_pair_order_is_lexicographic(self, n):
+        # at n = 2**40, n * n overflows int64 and the pairs are lexsorted
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(0, min(n, 50), size=(2, 400))
+        a[:3], b[:3] = n - 1, [n - 1, 0, n - 2]
+        order = graph_mod._pair_order(a, b, n)
+        pairs = list(zip(a[order].tolist(), b[order].tolist()))
+        assert pairs == sorted(zip(a.tolist(), b.tolist()))
+
+    def test_edges_and_adjacency_sorted(self):
+        rng = np.random.default_rng(6)
+        g = random_er(rng, 80, 0.1)
+        shuffled = g.edges[rng.permutation(g.m)][:, ::-1]
+        h = Graph(g.n, shuffled, np.arange(g.m, dtype=float))
+        want = sorted(zip(map(tuple, shuffled[:, ::-1].tolist()), range(g.m)))
+        got = list(zip(map(tuple, h.edges.tolist()), h.weights.tolist()))
+        assert got == want
+        indptr, nbrs, w = h.adjacency()
+        src = np.repeat(np.arange(h.n), np.diff(indptr))
+        arcs = list(zip(src.tolist(), nbrs.tolist(), w.tolist()))
+        assert arcs == sorted([(i, j, k) for (i, j), k in want]
+                              + [(j, i, k) for (i, j), k in want])
 
     def test_component_count_edge_cases(self):
         assert component_count(Graph(0, [])) == 0
