@@ -196,66 +196,76 @@ class AliasTable:
         return np.where(accept, k, self.alias[k])
 
 
-def line_positive_gradient(u_i, u_j, out=None):
-    """Gradients of -log sigma(u_i . u_j) w.r.t. u_i and u_j (row batches).
+def line_positive_coefficient(u_i, u_j, out=None):
+    """Scale s = sigma(u_i . u_j) - 1 of the gradients of
+    -log sigma(u_i . u_j): s u_j w.r.t. u_i and s u_i w.r.t. u_j.
 
-    ``out``, if given, is ``(g_i, g_j, s)``: the two gradients, shaped like
-    ``u_i``, and the per-row scale s = sigma(u_i . u_j) - 1.  Every result
-    is then written there and nothing is allocated.
+    One scale per row of the batch; ``out``, if given, receives it and
+    nothing is allocated.
     """
-    g_i, g_j, buf = (None, None, None) if out is None else out
-    s = expit(np.einsum("...d,...d->...", u_i, u_j, out=buf), out=buf)
-    c = np.subtract(s, 1.0, out=buf)
-    return (np.multiply(c[..., None], u_j, out=g_i),
-            np.multiply(c[..., None], u_i, out=g_j))
+    s = expit(np.einsum("...d,...d->...", u_i, u_j, out=out), out=out)
+    return np.subtract(s, 1.0, out=out)
 
 
-def line_negative_gradient(u_i, u_negs, mask=None, out=None):
-    """Gradients of -sum_k log sigma(-u_i . u_k) w.r.t. u_i and each u_k.
+def line_negative_coefficient(u_i, u_negs, mask=None, out=None):
+    """Scales s_k = sigma(u_i . u_k) of the gradients of
+    -sum_k log sigma(-u_i . u_k): sum_k s_k u_k w.r.t. u_i and s_k u_i
+    w.r.t. each u_k.
 
-    ``mask`` (same leading shape as the negative axis) zeroes out draws that
-    collided with an endpoint of the positive edge, which would otherwise
-    repel the very pair being attracted.  ``out``, if given, is
-    ``(g_i, g_negs, s)``: the gradients, shaped like ``u_i`` and ``u_negs``,
-    and the per-draw scale s = sigma(u_i . u_k), shaped like ``mask``.
+    ``mask`` (shaped like the result, one entry per noise row) zeroes out
+    draws that collided with an endpoint of the positive edge, which would
+    otherwise repel the very pair being attracted.  ``out``, if given,
+    receives the scales and nothing is allocated.
     """
-    g_i, g_negs, buf = (None, None, None) if out is None else out
-    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs, out=buf), out=buf)
-    if mask is not None:
-        s = np.multiply(s, mask, out=buf)
-    g_i = np.einsum("...k,...kd->...d", s, u_negs, out=g_i)
-    g_negs = np.multiply(s[..., None], u_i[..., None, :], out=g_negs)
-    return g_i, g_negs
+    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs, out=out), out=out)
+    return s if mask is None else np.multiply(s, mask, out=out)
+
+
+def _column_pointers(counts):
+    """CSC column pointers for ``_CHUNK`` items whose columns hold
+    ``counts`` entries each, in item-major order; the pointers of the first
+    c items are the leading c * len(counts) + 1 entries."""
+    ptr = np.zeros(_CHUNK * len(counts) + 1, dtype=np.int32)
+    np.cumsum(np.tile(np.asarray(counts, dtype=np.int32), _CHUNK),
+              out=ptr[1:])
+    return ptr
 
 
 class _SGDWorkspace:
     """Every per-chunk temporary of the SGD steps of one engine run.
 
-    Sized for ``_CHUNK`` edges with ``negatives`` noise rows each, in
-    ``dim`` dimensions; a step uses the leading rows of each buffer.  One
-    chunk's temporaries come to about 6 MiB at 5 negatives and dim 10,
-    mostly in blocks above glibc's 128 KiB mmap threshold.  Allocated per
-    chunk, they would cost mmap/munmap churn and fresh page faults on every
-    chunk, and the loop's speed would depend on the allocator's state.
-    ``rows`` and ``indptr`` are int32, scipy's index type, so building the
-    one-hot copies nothing.
+    A step gathers the rows it reads into ``gathered`` (one gather, through
+    the index written into ``idx``), writes its coefficient matrix's row ids
+    and values into ``rows`` and ``data``, and applies the product with
+    ``apply_coefficients``.  The column pointers depend only on the step's
+    layout, so each is built here once for ``_CHUNK`` items and a step of c
+    items uses a prefix: ``line_ptr`` (2 + ``negatives`` columns per edge),
+    ``pair_ptr`` (one entry per column) and ``le_ptr`` (the spectral base's
+    4 columns per edge).  Allocated per chunk, the temporaries would cost
+    mmap/munmap churn and fresh page faults on every chunk, and the loop's
+    speed would depend on the allocator's state.  ``rows`` and the pointers
+    are int32, scipy's index type, so building the matrix copies nothing;
+    ``idx`` is intp, so the gather copies nothing either.  The line step's
+    scales are computed in the contiguous ``s_pos`` and ``s_neg`` and then
+    copied into ``data``: numpy buffers a ufunc on a strided 2-D view, at
+    64 KiB per operand.
     """
 
     def __init__(self, negatives, dim):
-        c, size = _CHUNK, _CHUNK * (2 + negatives)
-        self.u_i = np.empty((c, dim))
-        self.u_j = np.empty((c, dim))
-        self.u_negs = np.empty((c, negatives, dim))
-        self.g_i_neg = np.empty((c, dim))
+        c, k = _CHUNK, negatives
+        cols = c * max(2 + k, 4)  # the penalty and spectral steps use 4c
+        entries = 2 * c * max(1 + k, 3)  # the spectral step uses 6c
+        self.idx = np.empty(cols, dtype=np.intp)
+        self.gathered = np.empty((cols, dim))
+        self.mask = np.empty((c, k), dtype=bool)
+        self.hit = np.empty((c, k), dtype=bool)
         self.s_pos = np.empty(c)
-        self.s_neg = np.empty((c, negatives))
-        self.mask = np.empty((c, negatives), dtype=bool)
-        self.hit = np.empty((c, negatives), dtype=bool)
-        # one entry per scatter row, laid out [src | ctx | negs]
-        self.rows = np.empty(size, dtype=np.int32)
-        self.updates = np.empty((size, dim))
-        self.ones = np.ones(size)
-        self.indptr = np.arange(size + 1, dtype=np.int32)
+        self.s_neg = np.empty((c, k))
+        self.rows = np.empty(entries, dtype=np.int32)
+        self.data = np.empty(entries)
+        self.line_ptr = _column_pointers([1 + k] + [1] * (1 + k))
+        self.pair_ptr = _column_pointers([1, 1])
+        self.le_ptr = _column_pointers([2, 2, 1, 1])
 
 
 def _gather(emb, idx, out):
@@ -268,48 +278,53 @@ def _gather(emb, idx, out):
     return np.take(emb, idx, axis=0, out=out, mode="clip")
 
 
-def scatter_add(emb, rows, updates, ws):
-    """``emb[rows] += updates`` with repeated rows accumulated, as one sparse
-    one-hot product; each row's updates are summed before the add.
+def apply_coefficients(emb, data, rows, indptr, gathered):
+    """``emb += M @ gathered`` for the sparse n x len(gathered) matrix M in
+    CSC form: column c adds ``data[p] * gathered[c]`` to row ``rows[p]`` for
+    each p in ``indptr[c]:indptr[c + 1]``.
 
-    The one-hot's data and column pointers are the leading entries of
-    ``ws.ones`` and ``ws.indptr``; int32 ``rows`` are used without a copy.
+    Every SGD update is a scalar times a row the step gathered, so this is
+    the one path by which all steps write; repeated rows accumulate, in
+    column order.  int32 ``rows`` and ``indptr`` are used without a copy.
     """
-    k = len(rows)
-    onehot = sp.csc_matrix((ws.ones[:k], rows, ws.indptr[:k + 1]),
-                           shape=(emb.shape[0], k))
-    emb += onehot @ updates
+    m = sp.csc_matrix((data, rows, indptr),
+                      shape=(emb.shape[0], len(indptr) - 1))
+    emb += m @ gathered
 
 
 def _line_step(emb, src, ctx, negs, lr, ws):
-    """One SGD step on edges (src, ctx) and noise rows ``negs``: every
-    gradient reads the rows before the step (Hogwild-style), one scatter
-    applies them, and noise draws that hit an edge endpoint are masked.
+    """One SGD step on edges (src, ctx) and noise rows ``negs`` as one
+    sparse coefficient product: ``emb += M @ G`` (Hogwild-style, every
+    coefficient read from the rows before the step).
 
-    Every temporary is a slice of the run's workspace ``ws``: the gathered
-    rows, the dots and sigmoids, the mask, and the scatter's rows and update
-    matrix, into which the gradients are written in place (see
-    ``_SGDWorkspace`` for why).  A warm 4 096-edge step at n = 1 000, dim 10
-    and 5 negatives allocates about 130 KiB, mostly the one-hot product's
-    n x dim result.  Rows are gathered by ``_gather``, whose mode="clip" is
-    safe because every index is a node id.
+    G holds each edge's gathered rows [u_i | u_j | u_negs], 2 + k columns
+    per edge.  M, already scaled by -lr, has 2 (1 + k) entries per edge:
+    the u_i column gives row ``ctx`` the positive scale and each noise row
+    its negative scale, and every other column gives row ``src`` the scale
+    of its own term.  Noise draws that hit an edge endpoint get scale 0.  Every temporary is a slice of the run's workspace ``ws`` (see
+    ``_SGDWorkspace``); a warm 4 096-edge step at n = 1 000, dim 10 and 5
+    negatives allocates about 80 KiB, the product's n x dim result.
     """
     c, k = negs.shape
-    end = c * (2 + k)
-    rows, upd = ws.rows[:end], ws.updates[:end]
+    cols, nnz = c * (2 + k), 2 * c * (1 + k)
+    idx = ws.idx[:cols].reshape(c, 2 + k)
+    idx[:, 0], idx[:, 1], idx[:, 2:] = src, ctx, negs
+    g = _gather(emb, idx, ws.gathered[:cols].reshape(c, 2 + k, -1))
     mask = np.not_equal(negs, src[:, None], out=ws.mask[:c])
     mask &= np.not_equal(negs, ctx[:, None], out=ws.hit[:c])
-    u_i = _gather(emb, src, ws.u_i[:c])
-    g_i = upd[:c]
-    line_positive_gradient(u_i, _gather(emb, ctx, ws.u_j[:c]),
-                           out=(g_i, upd[c:2 * c], ws.s_pos[:c]))
-    g_i_neg, _ = line_negative_gradient(
-        u_i, _gather(emb, negs, ws.u_negs[:c]), mask,
-        out=(ws.g_i_neg[:c], upd[2 * c:].reshape(c, k, -1), ws.s_neg[:c]))
-    g_i += g_i_neg
-    upd *= -lr
-    rows[:c], rows[c:2 * c], rows[2 * c:] = src, ctx, negs.reshape(-1)
-    scatter_add(emb, rows, upd, ws)
+    s_pos = line_positive_coefficient(g[:, 0], g[:, 1], out=ws.s_pos[:c])
+    s_neg = line_negative_coefficient(g[:, 0], g[:, 2:], mask,
+                                      out=ws.s_neg[:c])
+    s_pos *= -lr
+    s_neg *= -lr
+    # per edge the entries are [ctx | negs] of the u_i column, then src once
+    # for each other column; both halves take the scales [s_pos | s_neg]
+    data = ws.data[:nnz].reshape(c, 2, 1 + k)
+    data[:, :, 0], data[:, :, 1:] = s_pos[:, None], s_neg[:, None]
+    rows = ws.rows[:nnz].reshape(c, 2, 1 + k)
+    rows[:, 0, 0], rows[:, 0, 1:], rows[:, 1] = ctx, negs, src[:, None]
+    apply_coefficients(emb, ws.data[:nnz], ws.rows[:nnz],
+                       ws.line_ptr[:cols + 1], ws.gathered[:cols])
 
 
 def line1_embed(g, spec):

@@ -42,6 +42,8 @@ class Graph:
                 raise ValueError("edge endpoint outside 0..n-1")
             if (edges[:, 0] == edges[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
+            if not np.isfinite(weights).all():
+                raise ValueError("non-finite edge weight")
             if (weights < 0).any():
                 raise ValueError("negative edge weight")
             lo = np.minimum(edges[:, 0], edges[:, 1])

@@ -16,8 +16,8 @@ from scipy.special import expit
 
 from ._util import derive_seed
 from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
-                    EmbedSpec, _gather, _line_step, _SGDWorkspace, embed_graph,
-                    line_base_loss, scatter_add)
+                    EmbedSpec, _gather, _line_step, _SGDWorkspace,
+                    apply_coefficients, embed_graph, line_base_loss)
 from .graph import core_decomposition
 
 log = logging.getLogger(__name__)
@@ -143,6 +143,13 @@ def stability_gradient(u_i, u_j, u_hat_i, u_hat_j):
     return stability_coefficient(u_i, u_j, s_hat)[..., None] * u_j
 
 
+def le_base_coefficients(w_ij, gamma, beta):
+    """Coefficients of u_i, u_j and u_i0 in the spectral-base gradient for
+    u_i: gamma w + beta, -gamma w and -beta."""
+    gw = gamma * np.asarray(w_ij, dtype=np.float64)
+    return gw + beta, -gw, -beta
+
+
 def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
     """Spectral-base gradient for u_i, constants dropped:
     gamma w (u_i - u_j) + beta (u_i - u_i0), where u_i0 is the row's
@@ -154,13 +161,65 @@ def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
     u_i0 = np.asarray(u_i0, dtype=np.float64)
     if not (u_i.shape == u_j.shape == u_i0.shape):
         raise ValueError("dimension mismatch")
-    w = np.asarray(w_ij, dtype=np.float64)
-    return gamma * w[..., None] * (u_i - u_j) + beta * (u_i - u_i0)
+    a, b, c = le_base_coefficients(w_ij, gamma, beta)
+    return a[..., None] * u_i + b[..., None] * u_j + c * u_i0
+
+
+def _penalty_step(emb, ref, core, pos_i, pos_j, scale, ws):
+    """One stability step on the core pairs at positions (pos_i, pos_j):
+    ``emb += M @ G`` with G the gathered rows [u_j block | u_i block] and M
+    giving column u_j row i and column u_i row j, both with the pair's
+    coefficient -scale s (1 - s) (s - s_hat).  The reference rows that
+    give s_hat are gathered into the workspace just past G."""
+    c = len(pos_i)
+    ids = ws.idx[:2 * c].reshape(2, c)
+    np.take(core, pos_j, out=ids[0], mode="clip")
+    np.take(core, pos_i, out=ids[1], mode="clip")
+    g = _gather(emb, ids, ws.gathered[:2 * c].reshape(2, c, -1))
+    r = ws.gathered[2 * c:4 * c].reshape(2, c, -1)
+    s_hat = _clipped_sigmoid_rows(_gather(ref, pos_i, r[0]),
+                                  _gather(ref, pos_j, r[1]))
+    data = ws.data[:2 * c].reshape(2, c)
+    data[0] = stability_coefficient(g[1], g[0], s_hat)
+    data[0] *= -scale
+    data[1] = data[0]
+    rows = ws.rows[:2 * c].reshape(2, c)
+    rows[0], rows[1] = ids[1], ids[0]
+    apply_coefficients(emb, ws.data[:2 * c], ws.rows[:2 * c],
+                       ws.pair_ptr[:2 * c + 1], ws.gathered[:2 * c])
+
+
+def _le_step(emb, init, pairs, w, lr, gamma, beta, ws):
+    """One spectral-base step on the edges ``pairs`` (c x 2) of weights
+    ``w``: ``emb += M @ G`` with G each edge's gathered rows
+    [u_i | u_j | u_i0 | u_j0] and M, scaled by -lr, holding the
+    ``le_base_coefficients`` of both endpoints' gradients."""
+    c = len(pairs)
+    g = ws.gathered[:4 * c].reshape(c, 4, -1)
+    _gather(emb, pairs, g[:, :2])
+    _gather(init, pairs, g[:, 2:])
+    a, b, anchor = le_base_coefficients(w, gamma, beta)
+    # per edge: column u_i rows (i, j), column u_j rows (i, j), then the
+    # anchors u_i0 at row i and u_j0 at row j
+    data = ws.data[:6 * c].reshape(c, 6)
+    data[:, 0], data[:, 1], data[:, 2], data[:, 3] = a, b, b, a
+    data[:, 4:] = anchor
+    data *= -lr
+    ws.rows[:6 * c].reshape(c, 3, 2)[:] = pairs[:, None]
+    apply_coefficients(emb, ws.data[:6 * c], ws.rows[:6 * c],
+                       ws.le_ptr[:4 * c + 1], ws.gathered[:4 * c])
 
 
 def _gap_blocks(core_emb, core_ref):
     """Squared first-order proximity gaps of the core pairs (r, c), c > r,
-    one block of core rows at a time, in upper-triangular row order."""
+    one block of core rows at a time, in upper-triangular row order.
+
+    A block's sigmoids and gaps cover only the columns from its first row
+    on.  Its dot products stay full width: BLAS rounds a narrower product
+    differently in some tail columns (syrk for the square last block, other
+    kernels for small ones), and the gaps would then not be bit-identical
+    across block layouts.
+    """
     core_emb = np.asarray(core_emb, dtype=np.float64)
     core_ref = np.asarray(core_ref, dtype=np.float64)
     if core_emb.shape[0] != core_ref.shape[0]:
@@ -169,12 +228,15 @@ def _gap_blocks(core_emb, core_ref):
     for lo in range(0, k, _GAP_BLOCK):
         hi = min(k, lo + _GAP_BLOCK)
         with np.errstate(over="ignore"):
-            dots = core_emb[lo:hi] @ core_emb.T
-            dots_ref = core_ref[lo:hi] @ core_ref.T
-        p = expit(np.clip(dots, -_DOT_CLIP, _DOT_CLIP))
-        p_ref = expit(np.clip(dots_ref, -_DOT_CLIP, _DOT_CLIP))
+            p = np.clip((core_emb[lo:hi] @ core_emb.T)[:, lo:],
+                        -_DOT_CLIP, _DOT_CLIP)
+            p_ref = np.clip((core_ref[lo:hi] @ core_ref.T)[:, lo:],
+                            -_DOT_CLIP, _DOT_CLIP)
+        p = expit(p, out=p)
+        p -= expit(p_ref, out=p_ref)
+        p *= p
         # row-major boolean indexing keeps the pairs (r, c), c > r, in order
-        yield ((p - p_ref) ** 2)[np.arange(lo, hi)[:, None] < np.arange(k)]
+        yield p[np.arange(hi - lo)[:, None] < np.arange(k - lo)]
 
 
 def proximity_gaps_squared(core_emb, core_ref):
@@ -224,7 +286,8 @@ def stable_train(g, cfg):
     scaled by ``lr * alpha``.  So each edge gets one base update and each
     core pair one penalty update per batch in expectation.  The learning
     rate decays linearly to zero.  One ``_SGDWorkspace`` per run holds the
-    chunk temporaries of the line1 base step and of the penalty step.
+    chunk temporaries of the base and penalty steps, and every step applies
+    its updates as one sparse coefficient product (``apply_coefficients``).
     """
     if cfg.alpha == 0:
         log.warning("alpha=0: the stability penalty is disabled")
@@ -263,20 +326,15 @@ def stable_train(g, cfg):
             drawn = idx[idx < m]
             e = drawn[weights[drawn] > 0]
             if e.size:
-                i_r, j_r = edges[e, 0], edges[e, 1]
                 if is_line:
+                    i_r, j_r = edges[e, 0], edges[e, 1]
                     fl = rng_negs.random(e.size) < 0.5
                     negs = noise.draw(rng_negs, (e.size, cfg.negatives))
                     _line_step(emb, np.where(fl, j_r, i_r),
                                np.where(fl, i_r, j_r), negs, lr_t, ws)
                 else:
-                    w_r = weights[e]
-                    u_i, u_j = emb[i_r], emb[j_r]
-                    a_i, a_j = init[i_r], init[j_r]
-                    g_i = le_base_gradient(u_i, u_j, a_i, w_r, cfg.gamma, cfg.beta)
-                    g_j = le_base_gradient(u_j, u_i, a_j, w_r, cfg.gamma, cfg.beta)
-                    scatter_add(emb, np.concatenate([i_r, j_r]),
-                                -lr_t * np.concatenate([g_i, g_j]), ws)
+                    _le_step(emb, init, edges[e], weights[e], lr_t,
+                             cfg.gamma, cfg.beta, ws)
             # the penalty reads the rows the base step above just wrote
             c = len(idx) - len(drawn)
             if cfg.alpha > 0 and c:
@@ -284,19 +342,8 @@ def stable_train(g, cfg):
                 # core positions: each unordered pair has chance 1/(k choose 2)
                 pos_i = rng_draws.integers(0, k, size=c)
                 pos_j = (pos_i + rng_draws.integers(1, k, size=c)) % k
-                c_i, c_j = core[pos_i], core[pos_j]
-                u_i = _gather(emb, c_i, ws.u_i[:c])
-                u_j = _gather(emb, c_j, ws.u_j[:c])
-                rows, upd = ws.rows[:2 * c], ws.updates[:2 * c]
-                # the reference rows borrow the update buffer until s_hat
-                s_hat = _clipped_sigmoid_rows(_gather(ref, pos_i, upd[:c]),
-                                              _gather(ref, pos_j, upd[c:]))
-                coef = (-lr_t * cfg.alpha * stability_coefficient(
-                    u_i, u_j, s_hat))[:, None]
-                rows[:c], rows[c:] = c_i, c_j
-                np.multiply(coef, u_j, out=upd[:c])
-                np.multiply(coef, u_i, out=upd[c:])
-                scatter_add(emb, rows, upd, ws)
+                _penalty_step(emb, ref, core, pos_i, pos_j,
+                              lr_t * cfg.alpha, ws)
         if is_line:
             base_loss[t] = line_base_loss(g, emb)
         else:

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
-from corestab.embed import line_negative_gradient, line_positive_gradient
+from corestab.embed import line_negative_coefficient, line_positive_coefficient
 from corestab.graph import Graph, SubgraphFeatures
 from corestab.synth import GenSpec, generate
 
@@ -72,6 +75,17 @@ def ba_with_pendants(n_core, m_attach, pendants, seed):
     anchors = np.random.default_rng(seed).integers(0, n_core, size=pendants)
     leaves = np.column_stack([anchors, np.arange(n_core, n_core + pendants)])
     return Graph(n_core + pendants, np.vstack([g.edges, leaves]))
+
+
+def read_text(*path):
+    """The text of the file at ``os.path.join(*path)``, closed once read."""
+    with open(os.path.join(*path)) as fh:
+        return fh.read()
+
+
+def read_json(*path):
+    """The JSON document in the file at ``os.path.join(*path)``."""
+    return json.loads(read_text(*path))
 
 
 def neighbors(g, v):
@@ -207,17 +221,20 @@ def random_er(rng, n, p):
 def line_gradients(u_i, u_j, negatives):
     """Per-edge gradient triple (du_i, du_j, du_negs) of the sampled objective.
 
-    Composes the two gradient functions the SGD step calls; the objective for
-    one drawn edge is -log sigma(u_i . u_j) - sum_k log sigma(-u_i . u_k).
+    Built from the two coefficient functions the SGD step calls; the
+    objective for one drawn edge is -log sigma(u_i . u_j) - sum_k log
+    sigma(-u_i . u_k), whose gradients are s u_j + sum_k s_k u_k w.r.t.
+    u_i, s u_i w.r.t. u_j and s_k u_i w.r.t. u_k.
     """
     u_i = np.asarray(u_i, dtype=np.float64)
     u_j = np.asarray(u_j, dtype=np.float64)
     negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
     if u_i.shape != u_j.shape or negs.shape[-1] != u_i.shape[-1]:
         raise ValueError("dimension mismatch")
-    g_i_pos, g_j = line_positive_gradient(u_i, u_j)
-    g_i_neg, g_negs = line_negative_gradient(u_i, negs)
-    return g_i_pos + g_i_neg, g_j, g_negs
+    s = np.asarray(line_positive_coefficient(u_i, u_j))[..., None]
+    s_neg = line_negative_coefficient(u_i, negs)
+    return (s * u_j + np.einsum("...k,...kd->...d", s_neg, negs), s * u_i,
+            s_neg[..., None] * u_i[..., None, :])
 
 
 def add_at_oracle(n, rows, updates):
@@ -231,23 +248,26 @@ def add_at_oracle(n, rows, updates):
 def line_step_oracle(emb, src, ctx, negs, lr):
     """The LINE SGD step written with fresh arrays for every temporary.
 
-    The same operations in the same order as ``_line_step``: gradients on
-    the pre-step rows, noise draws that hit an endpoint masked, the updates
-    concatenated as [src | ctx | negs] and added by one one-hot product.
+    The same operations in the same order as ``_line_step``: one gather of
+    each edge's rows [u_i | u_j | u_negs], the coefficients [s_pos | s_neg]
+    on those pre-step rows with noise draws that hit an endpoint masked,
+    and one product ``emb += M @ G``.  Per edge, M's u_i column gives row
+    ctx and the noise rows their coefficients, and every other column gives
+    row src its own.
     """
+    n, dim = emb.shape
+    c, k = negs.shape
     mask = (negs != src[:, None]) & (negs != ctx[:, None])
-    u_i, u_j, u_negs = emb[src], emb[ctx], emb[negs]
-    c = expit(np.einsum("...d,...d->...", u_i, u_j)) - 1.0
-    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs)) * mask
-    g_i = c[:, None] * u_j + np.einsum("...k,...kd->...d", s, u_negs)
-    g_negs = s[..., None] * u_i[:, None, :]
-    rows = np.concatenate([src, ctx, negs.reshape(-1)])
-    upd = -lr * np.concatenate([g_i, c[:, None] * u_i,
-                                g_negs.reshape(-1, emb.shape[1])])
-    k = len(rows)
-    onehot = sp.csc_matrix((np.ones(k), rows, np.arange(k + 1)),
-                           shape=(emb.shape[0], k))
-    emb += onehot @ upd
+    g = emb[np.column_stack([src, ctx, negs])]
+    s_pos = expit(np.einsum("...d,...d->...", g[:, 0], g[:, 1])) - 1.0
+    s_neg = expit(np.einsum("...d,...kd->...k", g[:, 0], g[:, 2:])) * mask
+    data = np.tile(np.column_stack([-lr * s_pos, -lr * s_neg]), 2)
+    rows = np.column_stack([ctx, negs, np.repeat(src[:, None], 1 + k, 1)])
+    counts = np.tile([1 + k] + [1] * (1 + k), c)
+    m = sp.csc_matrix((data.ravel(), rows.ravel(),
+                       np.concatenate([[0], np.cumsum(counts)])),
+                      shape=(n, c * (2 + k)))
+    emb += m @ g.reshape(-1, dim)
 
 
 def sigmoid_proximity(u, v):

@@ -12,7 +12,7 @@ from corestab.cli import _threads, main
 from corestab.embed import save_embedding_csv
 
 from conftest import (KARATE_EDGES, ba_with_pendants, complete_graph,
-                      kcore_features_oracle)
+                      kcore_features_oracle, read_json, read_text)
 
 
 def write_graph(tmp_path, name, edges):
@@ -47,17 +47,17 @@ class TestKcore:
         graph = write_graph(tmp_path, "tri.txt", TRIANGLE)
         out = str(tmp_path / "out")
         assert main(["kcore", "--graph", graph, "--out", out]) == 0
-        rows = open(os.path.join(out, "coreness.csv")).read().splitlines()
+        rows = read_text(out, "coreness.csv").splitlines()
         assert rows[0] == "node_id,coreness"
         assert all(r.endswith(",2") for r in rows[1:])
-        summary = json.load(open(os.path.join(out, "kcore_summary.json")))
+        summary = read_json(out, "kcore_summary.json")
         assert summary["degeneracy"] == 2
         assert summary["core_completeness"] == 1.0
 
     def test_karate_degeneracy(self, tmp_path, karate_file):
         out = str(tmp_path / "out")
         assert main(["kcore", "--graph", karate_file, "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, "kcore_summary.json")))
+        summary = read_json(out, "kcore_summary.json")
         assert summary["degeneracy"] == 4
 
     def test_missing_graph_exit_2(self, tmp_path):
@@ -101,7 +101,7 @@ class TestKcore:
                             complete_graph(5).edges.tolist())
         out = str(tmp_path / "out")
         assert main(["kcore", "--graph", graph, "--out", out]) == 0
-        rows = open(os.path.join(out, "core_features.csv")).read().splitlines()
+        rows = read_text(out, "core_features.csv").splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["0", "4"]
         assert rows[1].split(",")[1:] == rows[2].split(",")[1:]
 
@@ -109,7 +109,7 @@ class TestKcore:
         graph = write_graph(tmp_path, "tri.txt", TRIANGLE)
         out = str(tmp_path / "out")
         main(["kcore", "--graph", graph, "--out", out])
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = read_json(out, "manifest.json")
         assert manifest["command"] == "kcore"
         assert "tri.txt" in manifest["input_hashes"]
 
@@ -127,7 +127,7 @@ class TestShare:
             assert main(["share", "--graph", graph, "--embedder", spec,
                          "--seed", "5", "--out", out]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
-        report = json.load(open(os.path.join(out_a, "share_report.json")))
+        report = read_json(out_a, "share_report.json")
         assert report["records"][0]["k"] == 0
         assert report["records"][0]["emd"] == 0.0
         assert os.path.exists(os.path.join(out_a, "distributions", "k0.csv"))
@@ -140,7 +140,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--embedder", spec,
                      "--seed", "1", "--out", out]) == 0
-        records = json.load(open(os.path.join(out, "share_report.json")))[
+        records = read_json(out, "share_report.json")[
             "records"]
         assert [(r["k"], r["size"], r["emd"]) for r in records] == \
             [(0, 6, 0.0)]
@@ -155,7 +155,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--embedder", spec,
                      "--seed", "3", "--out", out]) == 0
-        records = json.load(open(os.path.join(out, "share_report.json")))[
+        records = read_json(out, "share_report.json")[
             "records"]
         with open(os.path.join(out, "share_report.csv"), newline="") as fh:
             rows = list(csv.reader(fh))
@@ -183,7 +183,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--embedder", spec,
                      "--metric", "cosine", "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "share_report.json")))
+        report = read_json(out, "share_report.json")
         assert report["metric"] == "cosine"
 
     def test_external_embeddings(self, tmp_path):
@@ -201,7 +201,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--external-embeddings",
                      str(ext), "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "share_report.json")))
+        report = read_json(out, "share_report.json")
         assert [r["k"] for r in report["records"]] == [0, 1, 2]
 
     def test_external_missing_file_partial_exit_4(self, tmp_path):
@@ -215,7 +215,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--external-embeddings",
                      str(ext), "--out", out]) == 4
-        report = json.load(open(os.path.join(out, "share_report.json")))
+        report = read_json(out, "share_report.json")
         assert report["partial"] is True
         assert report["failed_k"] == 2
 
@@ -242,7 +242,7 @@ class TestShare:
         out = str(tmp_path / "o")
         assert main(["share", "--graph", graph, "--embedder", spec,
                      "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "share_report.json")))
+        report = read_json(out, "share_report.json")
         assert report["records"][0]["size"] == 4
 
 
@@ -281,9 +281,9 @@ class TestStable:
         out = str(tmp_path / "out")
         assert main(["stable", "--graph", graph, "--config", cfg,
                      "--seed", "3", "--out", out]) == 0
-        echo = json.load(open(os.path.join(out, "config.json")))
+        echo = read_json(out, "config.json")
         assert echo["alpha"] == 10.0  # base-specific default
-        trace = open(os.path.join(out, "loss_trace.csv")).read().splitlines()
+        trace = read_text(out, "loss_trace.csv").splitlines()
         assert trace[0] == "batch,base_loss,stability_loss"
         assert len(trace) == 1 + 8
         assert os.path.exists(os.path.join(out, "embeddings.csv"))
@@ -371,10 +371,10 @@ class TestLinkpred:
                      "--seed", "1", "--algorithm", "oracle",
                      "--out", out])
         assert code == 0
-        scores = json.load(open(os.path.join(out, "scores.json")))
+        scores = read_json(out, "scores.json")
         assert scores["f1"] == 1.0
         assert scores["auc"] == 1.0
-        rows = open(os.path.join(out, "results.csv")).read().splitlines()
+        rows = read_text(out, "results.csv").splitlines()
         assert rows[0] == "graph,algorithm,variant,f1,auc"
         assert rows[1].startswith("cliques.txt,oracle,original")
 
@@ -447,10 +447,10 @@ class TestRegress:
         out = str(tmp_path / "out")
         code = main(["regress", "--reports", str(tmp_path / "*.json"),
                      "--out", out])
-        fits = json.load(open(os.path.join(out, "fits.json")))
+        fits = read_json(out, "fits.json")
         assert code == 3  # every combination failed
         assert "error" in fits["fits"][0]
-        assert open(os.path.join(out, "fits.csv")).read() == (
+        assert read_text(out, "fits.csv") == (
             "algorithm,dim,samples,feature,coefficient,std_error,"
             "ci_lower,ci_upper,r_squared\n")
 
@@ -462,11 +462,11 @@ class TestRegress:
         out = str(tmp_path / "out")
         assert main(["regress", "--reports", str(tmp_path / "*.json"),
                      "--out", out]) == 0
-        fits = json.load(open(os.path.join(out, "fits.json")))
+        fits = read_json(out, "fits.json")
         fit = fits["fits"][0]["fit"]
         density_idx = fit["feature_names"].index("d_edge_density")
         assert abs(fit["coefficients"][density_idx] - 2.0) < 0.2
-        rows = open(os.path.join(out, "fits.csv")).read().splitlines()
+        rows = read_text(out, "fits.csv").splitlines()
         assert rows[0].startswith("algorithm,dim,samples,feature")
         assert len(rows) == 1 + 5  # one row per coefficient
 
@@ -479,7 +479,7 @@ class TestRegress:
         self._write_report(tmp_path, "g0", 4, rng=rng)
         out = str(tmp_path / "out")
         main(["regress", "--reports", str(tmp_path / "*.json"), "--out", out])
-        rows = open(os.path.join(out, "samples.csv")).read().splitlines()
+        rows = read_text(out, "samples.csv").splitlines()
         assert len(rows) == 1 + 3
 
     def test_external_report_dim_written_empty(self, tmp_path):
@@ -490,7 +490,7 @@ class TestRegress:
         out = str(tmp_path / "out")
         assert main(["regress", "--reports", str(tmp_path / "*.json"),
                      "--out", out]) == 0
-        rows = open(os.path.join(out, "samples.csv")).read().splitlines()
+        rows = read_text(out, "samples.csv").splitlines()
         assert rows[0] == ("dataset,algorithm,dim,k,d_emd,d_size,"
                            "d_edge_density,d_clustering_coefficient,"
                            "d_transitivity")
@@ -498,10 +498,10 @@ class TestRegress:
         assert rows[1] == (f"ext,external,,1,0.01,-1.0,{d_density!r},"
                            "0.0,0.0")
         assert [row.split(",")[2] for row in rows[1:]] == [""] * 9
-        fits = open(os.path.join(out, "fits.csv")).read().splitlines()
+        fits = read_text(out, "fits.csv").splitlines()
         assert len(fits) == 1 + 5
         assert all(row.startswith("external,,9,") for row in fits[1:])
-        entry = json.load(open(os.path.join(out, "fits.json")))["fits"][0]
+        entry = read_json(out, "fits.json")["fits"][0]
         assert entry["algorithm"] == "external" and entry["dim"] is None
 
 
@@ -514,7 +514,7 @@ class TestGenerate:
             assert main(["generate", "--spec", spec, "--seed", "4",
                          "--out", out]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
-        prov = json.load(open(os.path.join(out_a, "provenance.json")))
+        prov = read_json(out_a, "provenance.json")
         assert prov["spec"]["model"] == "er"
         assert prov["spec"]["seed"] == 4
 
@@ -523,7 +523,7 @@ class TestGenerate:
                           {"model": "ba", "n": 40, "m_attach": 3, "seed": 0})
         out = str(tmp_path / "out")
         assert main(["generate", "--spec", spec, "--out", out]) == 0
-        lines = open(os.path.join(out, "edges.txt")).read().splitlines()
+        lines = read_text(out, "edges.txt").splitlines()
         assert len(lines) == 3 * (40 - 3)
 
     def test_invalid_spec_exit_2(self, tmp_path):

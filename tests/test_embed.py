@@ -6,12 +6,12 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from scipy.special import expit
 
 from corestab.embed import (_CHUNK, AliasTable, EigensolverError, EmbedSpec,
-                            _line_step, _SGDWorkspace, laplacian_eigenmaps,
-                            line1_embed,
-                            line_negative_gradient, line_positive_gradient,
-                            load_embedding_binary, load_embedding_csv,
-                            save_embedding_binary, save_embedding_csv,
-                            scatter_add)
+                            _line_step, _SGDWorkspace, apply_coefficients,
+                            laplacian_eigenmaps, line1_embed,
+                            line_negative_coefficient,
+                            line_positive_coefficient, load_embedding_binary,
+                            load_embedding_csv, save_embedding_binary,
+                            save_embedding_csv)
 from corestab.graph import Graph
 
 from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
@@ -485,14 +485,22 @@ class TestLineGradients:
 
 
 class TestScatterAdd:
+    """``apply_coefficients``, the one path by which every SGD step writes."""
+
     @pytest.mark.parametrize("shape", [(), (5,)])
     def test_repeated_rows_match_add_at(self, shape):
         rng = np.random.default_rng(8)
-        rows = rng.integers(0, 4, size=3000)  # ~750 hits per row
-        upd = rng.normal(size=(3000,) + shape)
+        # 3 000 columns of 3 entries each onto 4 of 7 rows: ~2 250 hits per row
+        cols, per_col = 3000, 3
+        rows = rng.integers(0, 4, size=cols * per_col).astype(np.int32)
+        data = rng.normal(size=cols * per_col)
+        indptr = np.arange(0, cols * per_col + 1, per_col, dtype=np.int32)
+        g = rng.normal(size=(cols,) + shape)
         base = rng.normal(size=(7,) + shape)
         emb = base.copy()
-        scatter_add(emb, rows, upd, _SGDWorkspace(1, 1))
+        apply_coefficients(emb, data, rows, indptr, g)
+        upd = (data.reshape((-1,) + (1,) * len(shape))
+               * g[np.repeat(np.arange(cols), per_col)])
         assert np.allclose(emb, base + add_at_oracle(7, rows, upd),
                            rtol=0, atol=1e-12)
         assert np.array_equal(emb[4:], base[4:])
@@ -500,10 +508,22 @@ class TestScatterAdd:
     @pytest.mark.parametrize("shape", [(), (3,)])
     def test_single_row(self, shape):
         rng = np.random.default_rng(9)
-        upd = rng.normal(size=(1,) + shape)
+        g = rng.normal(size=(1,) + shape)
         emb = np.zeros((2,) + shape)
-        scatter_add(emb, np.array([1]), upd, _SGDWorkspace(1, 1))
-        assert np.array_equal(emb, add_at_oracle(2, [1], upd))
+        apply_coefficients(emb, np.array([-0.25]), np.array([1], np.int32),
+                           np.array([0, 1], np.int32), g)
+        assert np.array_equal(emb, add_at_oracle(2, [1], -0.25 * g))
+
+    def test_workspace_pointers_are_prefixes(self):
+        # the pointers of a c-item step are the prefix of the run's array
+        ws = _SGDWorkspace(3, 4)
+        for c in (1, 17, _CHUNK):
+            for ptr, counts in ((ws.line_ptr, [4, 1, 1, 1, 1]),
+                                (ws.pair_ptr, [1, 1]),
+                                (ws.le_ptr, [2, 2, 1, 1])):
+                want = np.cumsum([0] + counts * c)
+                assert np.array_equal(ptr[:len(want)], want)
+        assert ws.line_ptr.dtype == ws.rows.dtype == np.int32
 
 
 class TestLineStep:
@@ -518,12 +538,13 @@ class TestLineStep:
         # reference: the gradients on the pre-step rows, applied by add.at
         mask = (negs != src[:, None]) & (negs != ctx[:, None])
         u_i, u_j, u_n = emb[src], emb[ctx], emb[negs]
-        g_i_pos, g_j = line_positive_gradient(u_i, u_j)
-        g_i_neg, g_negs = line_negative_gradient(u_i, u_n, mask)
+        s = line_positive_coefficient(u_i, u_j)[:, None]
+        s_neg = line_negative_coefficient(u_i, u_n, mask)
         want = emb.copy()
-        np.add.at(want, src, -lr * (g_i_pos + g_i_neg))
-        np.add.at(want, ctx, -lr * g_j)
-        np.add.at(want, negs.reshape(-1), -lr * g_negs.reshape(-1, dim))
+        np.add.at(want, src, -lr * (s * u_j + (s_neg[..., None] * u_n).sum(1)))
+        np.add.at(want, ctx, -lr * s * u_i)
+        np.add.at(want, negs.reshape(-1),
+                  -lr * (s_neg[..., None] * u_i[:, None]).reshape(-1, dim))
         _line_step(emb, src, ctx, negs, lr, _SGDWorkspace(neg, dim))
         assert np.allclose(emb, want, rtol=0, atol=1e-12)
 
@@ -573,7 +594,8 @@ class TestLineStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the allocating step peaked at about 6 MiB here
+        # the allocating step peaked at about 6 MiB here, the one-hot
+        # scatter of the gradient rows at about 130 KiB
         assert peak < 256 * 1024
 
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import corestab.graph as graph_mod
+from corestab.embed import EmbedSpec, laplacian_eigenmaps, line1_embed
 from corestab.graph import (Graph, GraphParseError, core_completeness,
                             core_decomposition, load_edge_list,
                             subgraph_features)
+from corestab.share import run_share
+from corestab.stable import StableConfig, stable_train
 
 from conftest import (add_at_oracle, complete_graph, component_count,
                       edge_list_oracle, edge_loop_features,
@@ -197,6 +200,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="non-finite edge weight"):
+            Graph(3, [[0, 1], [1, 2]], [1.0, bad])
+        with pytest.raises(ValueError, match="non-finite edge weight"):
+            Graph(3, [[0, 1], [1, 2]], [np.nan, np.inf])
+
     def test_neighbors_symmetric(self):
         g = Graph(3, [[0, 1], [1, 2]])
         assert 1 in neighbors(g, 0) and 0 in neighbors(g, 1)
@@ -259,6 +269,30 @@ class TestGraph:
         assert component_count(Graph(0, [])) == 0
         assert component_count(Graph(5, [])) == 5
         assert component_count(Graph(5, [[0, 1], [2, 3]], [0.0, 1.0])) == 3
+
+
+ENGINE_ENTRIES = {
+    "laplacian_eigenmaps": lambda g: laplacian_eigenmaps(g, 1),
+    "line1_embed": lambda g: line1_embed(g, EmbedSpec("line1", 2, batches=1)),
+    "stable_train": lambda g: stable_train(
+        g, StableConfig.for_base("line1", dim=2, batches=1)),
+    "run_share": lambda g: run_share(g, EmbedSpec("line1", 2, batches=1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENGINE_ENTRIES))
+@pytest.mark.parametrize("weight", [2.0, np.nan, np.inf, -np.inf])
+def test_engine_entries_refuse_non_finite_weights(entry, weight):
+    # a triangle with a pendant: every engine runs on it when the weight is
+    # finite, and no graph it is handed can hold a non-finite one
+    def run():
+        ENGINE_ENTRIES[entry](Graph(4, [[0, 1], [1, 2], [0, 2], [2, 3]],
+                                    [1.0, weight, 1.0, 1.0]))
+    if np.isfinite(weight):
+        run()
+    else:
+        with pytest.raises(ValueError, match="non-finite edge weight"):
+            run()
 
 
 class TestCoreDecomposition:

@@ -7,11 +7,12 @@ import pytest
 from scipy.special import expit
 
 import corestab.stable as stable_mod
-from corestab.embed import EmbedSpec, embed_graph
+from corestab.embed import _CHUNK, EmbedSpec, _SGDWorkspace, embed_graph
 from corestab.graph import Graph, core_decomposition
-from corestab.stable import (StableConfig, TrainingDivergence,
-                             instability_penalty, isolated_core_embedding,
-                             le_base_gradient, proximity_gaps_squared,
+from corestab.stable import (StableConfig, TrainingDivergence, _le_step,
+                             _penalty_step, instability_penalty,
+                             isolated_core_embedding, le_base_gradient,
+                             proximity_gaps_squared, stability_coefficient,
                              stability_gradient, stable_train)
 from corestab.synth import desk_graph
 
@@ -75,6 +76,23 @@ class TestInstabilityPenalty:
         monkeypatch.setattr(stable_mod, "_GAP_BLOCK", 3)
         assert np.array_equal(proximity_gaps_squared(emb[core], ref), gaps)
         assert instability_penalty(emb, ref, core) == pytest.approx(penalty)
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    def test_triangle_blocks_equal_full_square(self, dim):
+        # 1 100 core rows: two full 512-row blocks and a partial one, each
+        # block's full k-wide square masked to its pairs (r, c), c > r
+        rng = np.random.default_rng(4)
+        k = 1100
+        emb, ref = rng.normal(size=(2, k, dim))
+        want = []
+        for lo in range(0, k, 512):
+            hi = min(k, lo + 512)
+            p, q = (expit(np.clip(x[lo:hi] @ x.T, -35.0, 35.0))
+                    for x in (emb, ref))
+            want.append(((p - q) ** 2)[np.arange(lo, hi)[:, None]
+                                       < np.arange(k)])
+        assert np.array_equal(proximity_gaps_squared(emb, ref),
+                              np.concatenate(want))
 
 
 class TestStabilityGradient:
@@ -161,6 +179,51 @@ class TestLeBaseGradient:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             le_base_gradient(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 1, 1)
+
+
+class TestSteps:
+    """The penalty and spectral-base steps against gradients applied by
+    ``np.add.at``, all read from the rows before the step; the tolerance is
+    relative to the largest row entry, which thousands of hits make large."""
+
+    @staticmethod
+    def assert_close(got, want):
+        scale = max(1.0, np.abs(want).max())
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n,k,c", [(9, 5, 400), (30, 30, 1),
+                                       (8, 4, _CHUNK)])
+    def test_penalty_step_matches_add_at(self, n, k, c):
+        rng = np.random.default_rng(20)
+        emb = rng.normal(size=(n, 3))
+        core = np.sort(rng.choice(n, size=k, replace=False))
+        ref = rng.normal(size=(k, 3))
+        pos_i = rng.integers(0, k, size=c)
+        pos_j = (pos_i + rng.integers(1, k, size=c)) % k
+        c_i, c_j = core[pos_i], core[pos_j]
+        s_hat = expit(np.einsum("cd,cd->c", ref[pos_i], ref[pos_j]))
+        coef = -0.3 * stability_coefficient(emb[c_i], emb[c_j], s_hat)
+        want = emb.copy()
+        np.add.at(want, c_i, coef[:, None] * emb[c_j])
+        np.add.at(want, c_j, coef[:, None] * emb[c_i])
+        _penalty_step(emb, ref, core, pos_i, pos_j, 0.3, _SGDWorkspace(2, 3))
+        self.assert_close(emb, want)
+
+    @pytest.mark.parametrize("n,c", [(6, 500), (40, 1), (5, _CHUNK)])
+    def test_le_step_matches_add_at(self, n, c):
+        rng = np.random.default_rng(21)
+        emb, init = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+        i = rng.integers(0, n, size=c)
+        pairs = np.column_stack([i, (i + rng.integers(1, n, size=c)) % n])
+        w = rng.uniform(0.1, 2.0, size=c)
+        u_i, u_j = emb[pairs[:, 0]], emb[pairs[:, 1]]
+        g_i = le_base_gradient(u_i, u_j, init[pairs[:, 0]], w, 0.3, 0.2)
+        g_j = le_base_gradient(u_j, u_i, init[pairs[:, 1]], w, 0.3, 0.2)
+        want = emb.copy()
+        np.add.at(want, pairs[:, 0], -0.05 * g_i)
+        np.add.at(want, pairs[:, 1], -0.05 * g_j)
+        _le_step(emb, init, pairs, w, 0.05, 0.3, 0.2, _SGDWorkspace(1, 4))
+        self.assert_close(emb, want)
 
 
 class TestIsolatedCoreEmbedding:
@@ -264,19 +327,21 @@ class TestStableTrain:
         g = Graph(2 * k, np.vstack([clique.edges, leaves]))
         n_pairs = k * (k - 1) // 2
         pairs, per_batch, draws = [], [], [0]
-        real_step, real_scatter = stable_mod._line_step, stable_mod.scatter_add
+        real_step = stable_mod._line_step
+        real_apply = stable_mod.apply_coefficients
         real_loss = stable_mod.line_base_loss
 
         def step_spy(emb, src, ctx, negs, lr, ws):
             draws[0] += len(src)
             return real_step(emb, src, ctx, negs, lr, ws)
 
-        def scatter_spy(emb, rows, updates, ws):
-            # with the line1 base only the penalty step scatters from here
+        def apply_spy(emb, data, rows, indptr, gathered):
+            # with the line1 base only the penalty step applies from here;
+            # its rows are [i block | j block]
             c = len(rows) // 2
             pairs.extend(zip(rows[:c].tolist(), rows[c:].tolist()))
             draws[0] += c
-            return real_scatter(emb, rows, updates, ws)
+            return real_apply(emb, data, rows, indptr, gathered)
 
         def loss_spy(graph, emb):
             # called once at the end of each batch
@@ -285,7 +350,7 @@ class TestStableTrain:
             return real_loss(graph, emb)
 
         monkeypatch.setattr(stable_mod, "_line_step", step_spy)
-        monkeypatch.setattr(stable_mod, "scatter_add", scatter_spy)
+        monkeypatch.setattr(stable_mod, "apply_coefficients", apply_spy)
         monkeypatch.setattr(stable_mod, "line_base_loss", loss_spy)
         stable_train(g, StableConfig.for_base("line1", dim=3,
                                               batches=batches, seed=4))
