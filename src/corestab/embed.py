@@ -2,12 +2,14 @@
 normalized Laplacian, and first-order edge-sampling SGD with negative sampling.
 """
 
+import math
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.special import expit
@@ -111,11 +113,10 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
         raise ValueError(
             f"dim={dim} not in [1, {usable}] (n={n} minus {comps} component(s))")
     inv_sqrt = 1.0 / np.sqrt(wdeg)
-    norm = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
+    norm = (sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)).tocsr()
     # row C of zero is component C's unit zero mode, D^1/2 1_C / sqrt(vol C)
     z = np.sqrt(wdeg / np.bincount(labels, wdeg)[labels])
     zero = sp.csr_matrix((z, (labels, np.arange(n))), shape=(comps, n))
-    zero_t = zero.T.tocsr()
     zero_vals = 1.0 - zero @ (norm @ z)
     if np.max(np.abs(zero_vals)) > _EIGVAL_TOL:
         raise EigensolverError(
@@ -123,8 +124,18 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
             f"{zero_vals!r} for {comps} component(s)")
 
     def shifted(y):  # N with the zero modes and y's columns moved to -2
-        return LinearOperator(norm.shape, dtype=np.float64, matvec=lambda x: (
-            norm @ x - 3.0 * (zero_t @ (zero @ x) + y @ (y.T @ x))))
+        def matvec(x):
+            # scipy's compiled CSR kernel, the one ``norm @ x`` runs, without
+            # its per-call dispatch; the bincount is zero.T @ (zero @ x)
+            # summed in the same order
+            x = np.ravel(x)
+            out = np.zeros(n)
+            _sparsetools.csr_matvec(n, n, norm.indptr, norm.indices,
+                                    norm.data, x, out)
+            out -= 3.0 * (z * np.bincount(labels, z * x, comps)[labels]
+                          + y @ (y.T @ x))
+            return out
+        return LinearOperator(norm.shape, dtype=np.float64, matvec=matvec)
 
     if dim + comps < n - 1:
         rng = np.random.default_rng(seed)
@@ -149,7 +160,7 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
             raise EigensolverError(
                 f"Lanczos failed for dim={dim} on n={n} graph: {exc}") from exc
     else:
-        mu, y = eigh(norm.toarray() - 3.0 * (zero_t @ zero).toarray(),
+        mu, y = eigh(norm.toarray() - 3.0 * (zero.T @ zero).toarray(),
                      subset_by_index=[n - dim, n - 1])
     order = np.argsort(-mu)
     vals = 1.0 - mu[order]
@@ -236,19 +247,20 @@ class _SGDWorkspace:
 
     A step gathers the rows it reads into ``gathered`` (one gather, through
     the index written into ``idx``), writes its coefficient matrix's row ids
-    and values into ``rows`` and ``data``, and applies the product with
-    ``apply_coefficients``.  The column pointers depend only on the step's
-    layout, so each is built here once for ``_CHUNK`` items and a step of c
-    items uses a prefix: ``line_ptr`` (2 + ``negatives`` columns per edge),
-    ``pair_ptr`` (one entry per column) and ``le_ptr`` (the spectral base's
-    4 columns per edge).  Allocated per chunk, the temporaries would cost
+    and values into ``rows`` and ``data``, and applies the product in place
+    with ``apply_coefficients``.  The line and penalty steps' column
+    pointers depend only on their layout, so each is built here once for
+    ``_CHUNK`` items and a step of c items uses a prefix: ``line_ptr``
+    (2 + ``negatives`` columns per edge) and ``pair_ptr`` (one entry per
+    column).  The spectral base's G holds every edge's rows and then every
+    anchor, so its pointers depend on c and ``_le_step`` writes them into
+    ``le_ptr``.  Allocated per chunk, the temporaries would cost
     mmap/munmap churn and fresh page faults on every chunk, and the loop's
     speed would depend on the allocator's state.  ``rows`` and the pointers
-    are int32, scipy's index type, so building the matrix copies nothing;
-    ``idx`` is intp, so the gather copies nothing either.  The line step's
-    scales are computed in the contiguous ``s_pos`` and ``s_neg`` and then
-    copied into ``data``: numpy buffers a ufunc on a strided 2-D view, at
-    64 KiB per operand.
+    are int32, the kernel's index type; ``idx`` is intp, so the gather
+    copies nothing.  The line step's scales are computed in the contiguous
+    ``s_pos`` and ``s_neg`` and then copied into ``data``: numpy buffers a
+    ufunc on a strided 2-D view, at 64 KiB per operand.
     """
 
     def __init__(self, negatives, dim):
@@ -265,7 +277,7 @@ class _SGDWorkspace:
         self.data = np.empty(entries)
         self.line_ptr = _column_pointers([1 + k] + [1] * (1 + k))
         self.pair_ptr = _column_pointers([1, 1])
-        self.le_ptr = _column_pointers([2, 2, 1, 1])
+        self.le_ptr = np.empty(4 * c + 1, dtype=np.int32)
 
 
 def _gather(emb, idx, out):
@@ -279,17 +291,43 @@ def _gather(emb, idx, out):
 
 
 def apply_coefficients(emb, data, rows, indptr, gathered):
-    """``emb += M @ gathered`` for the sparse n x len(gathered) matrix M in
-    CSC form: column c adds ``data[p] * gathered[c]`` to row ``rows[p]`` for
-    each p in ``indptr[c]:indptr[c + 1]``.
+    """``emb += M @ gathered`` in place, for the sparse n x len(gathered)
+    matrix M in CSC form: column c adds ``data[p] * gathered[c]`` to row
+    ``rows[p]`` for each p in ``indptr[c]:indptr[c + 1]``.
 
     Every SGD update is a scalar times a row the step gathered, so this is
-    the one path by which all steps write; repeated rows accumulate, in
-    column order.  int32 ``rows`` and ``indptr`` are used without a copy.
+    the one path by which all steps write.  scipy's compiled CSC kernel (the
+    one ``csc_matrix @`` runs) adds each entry's term straight into ``emb``
+    in entry order, so repeated rows accumulate one term at a time and the
+    cost is O(nnz * dim) whatever n is.  The kernel writes through a flat
+    view, so ``emb`` and ``gathered`` must be C-contiguous float64 (a copy
+    would silently lose the updates), and ``rows`` and ``indptr`` int32.
+    It checks no index, so every entry's row must lie in [0, n) and
+    ``indptr`` must not decrease; anything else raises ``ValueError``.
     """
-    m = sp.csc_matrix((data, rows, indptr),
-                      shape=(emb.shape[0], len(indptr) - 1))
-    emb += m @ gathered
+    for name, a in (("emb", emb), ("gathered", gathered), ("data", data)):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous float64 array")
+    if rows.dtype != np.int32 or indptr.dtype != np.int32:
+        raise ValueError("rows and indptr must be int32")
+    if data.ndim != 1 or rows.ndim != 1 or indptr.ndim != 1:
+        raise ValueError("data, rows and indptr must be 1-D")
+    if len(indptr) - 1 != len(gathered):
+        raise ValueError(f"{len(indptr) - 1} columns for "
+                         f"{len(gathered)} gathered rows")
+    if emb.shape[1:] != gathered.shape[1:]:
+        raise ValueError(f"rows of shape {gathered.shape[1:]} cannot update "
+                         f"rows of shape {emb.shape[1:]}")
+    if (len(rows) != len(data) or indptr[0] != 0
+            or indptr[-1] > len(rows) or (indptr[1:] < indptr[:-1]).any()):
+        raise ValueError("indptr must rise from 0 to at most the entry "
+                         "count, and rows and data must match in length")
+    # a negative int32 reads as at least 2**31 unsigned: one pass checks both
+    if indptr[-1] and rows[:indptr[-1]].view(np.uint32).max() >= emb.shape[0]:
+        raise ValueError(f"a row index lies outside [0, {emb.shape[0]})")
+    _sparsetools.csc_matvecs(emb.shape[0], len(gathered),
+                             math.prod(emb.shape[1:]), indptr, rows, data,
+                             gathered.reshape(-1), emb.reshape(-1))
 
 
 def _line_step(emb, src, ctx, negs, lr, ws):
@@ -301,9 +339,11 @@ def _line_step(emb, src, ctx, negs, lr, ws):
     per edge.  M, already scaled by -lr, has 2 (1 + k) entries per edge:
     the u_i column gives row ``ctx`` the positive scale and each noise row
     its negative scale, and every other column gives row ``src`` the scale
-    of its own term.  Noise draws that hit an edge endpoint get scale 0.  Every temporary is a slice of the run's workspace ``ws`` (see
-    ``_SGDWorkspace``); a warm 4 096-edge step at n = 1 000, dim 10 and 5
-    negatives allocates about 80 KiB, the product's n x dim result.
+    of its own term.  Noise draws that hit an edge endpoint get scale 0.
+    Every temporary is a slice of the run's workspace ``ws`` (see
+    ``_SGDWorkspace``), and the product adds into ``emb`` in place: a warm
+    4 096-edge step at dim 10 and 5 negatives allocates about 66 KiB, at
+    n = 1 000 and at n = 10**6 alike.
     """
     c, k = negs.shape
     cols, nnz = c * (2 + k), 2 * c * (1 + k)

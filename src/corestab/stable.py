@@ -191,23 +191,29 @@ def _penalty_step(emb, ref, core, pos_i, pos_j, scale, ws):
 
 def _le_step(emb, init, pairs, w, lr, gamma, beta, ws):
     """One spectral-base step on the edges ``pairs`` (c x 2) of weights
-    ``w``: ``emb += M @ G`` with G each edge's gathered rows
-    [u_i | u_j | u_i0 | u_j0] and M, scaled by -lr, holding the
-    ``le_base_coefficients`` of both endpoints' gradients."""
+    ``w``: ``emb += M @ G`` with G the gathered rows [u_i, u_j of every
+    edge | u_i0, u_j0 of every edge], one contiguous gather each, and M,
+    scaled by -lr, holding the ``le_base_coefficients`` of both endpoints'
+    gradients.  The pointers depend on c, so they are written per step."""
     c = len(pairs)
-    g = ws.gathered[:4 * c].reshape(c, 4, -1)
-    _gather(emb, pairs, g[:, :2])
-    _gather(init, pairs, g[:, 2:])
+    g = ws.gathered[:4 * c].reshape(2, c, 2, -1)
+    _gather(emb, pairs, g[0])
+    _gather(init, pairs, g[1])
     a, b, anchor = le_base_coefficients(w, gamma, beta)
-    # per edge: column u_i rows (i, j), column u_j rows (i, j), then the
-    # anchors u_i0 at row i and u_j0 at row j
-    data = ws.data[:6 * c].reshape(c, 6)
-    data[:, 0], data[:, 1], data[:, 2], data[:, 3] = a, b, b, a
-    data[:, 4:] = anchor
+    # columns u_i and u_j of each edge give rows (i, j) the coefficients
+    # (a, b) and (b, a); then each anchor column gives its own row `anchor`
+    data = ws.data[:6 * c]
+    coef = data[:4 * c].reshape(c, 4)
+    coef[:, 0], coef[:, 1], coef[:, 2], coef[:, 3] = a, b, b, a
+    data[4 * c:] = anchor
     data *= -lr
-    ws.rows[:6 * c].reshape(c, 3, 2)[:] = pairs[:, None]
-    apply_coefficients(emb, ws.data[:6 * c], ws.rows[:6 * c],
-                       ws.le_ptr[:4 * c + 1], ws.gathered[:4 * c])
+    rows = ws.rows[:6 * c]
+    rows[:4 * c].reshape(c, 2, 2)[:] = pairs[:, None]
+    rows[4 * c:].reshape(c, 2)[:] = pairs
+    ptr = ws.le_ptr[:4 * c + 1]
+    np.multiply(ws.pair_ptr[:2 * c + 1], 2, out=ptr[:2 * c + 1])
+    np.add(ws.pair_ptr[1:2 * c + 1], 4 * c, out=ptr[2 * c + 1:])
+    apply_coefficients(emb, data, rows, ptr, ws.gathered[:4 * c])
 
 
 def _gap_blocks(core_emb, core_ref):

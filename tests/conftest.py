@@ -251,11 +251,11 @@ def line_step_oracle(emb, src, ctx, negs, lr):
     The same operations in the same order as ``_line_step``: one gather of
     each edge's rows [u_i | u_j | u_negs], the coefficients [s_pos | s_neg]
     on those pre-step rows with noise draws that hit an endpoint masked,
-    and one product ``emb += M @ G``.  Per edge, M's u_i column gives row
-    ctx and the noise rows their coefficients, and every other column gives
-    row src its own.
+    and the coefficient matrix M applied in place, one entry at a time in
+    CSC entry order.  Per edge, M's u_i column gives row ctx and the noise
+    rows their coefficients, and every other column gives row src its own.
     """
-    n, dim = emb.shape
+    dim = emb.shape[1]
     c, k = negs.shape
     mask = (negs != src[:, None]) & (negs != ctx[:, None])
     g = emb[np.column_stack([src, ctx, negs])]
@@ -263,11 +263,10 @@ def line_step_oracle(emb, src, ctx, negs, lr):
     s_neg = expit(np.einsum("...d,...kd->...k", g[:, 0], g[:, 2:])) * mask
     data = np.tile(np.column_stack([-lr * s_pos, -lr * s_neg]), 2)
     rows = np.column_stack([ctx, negs, np.repeat(src[:, None], 1 + k, 1)])
-    counts = np.tile([1 + k] + [1] * (1 + k), c)
-    m = sp.csc_matrix((data.ravel(), rows.ravel(),
-                       np.concatenate([[0], np.cumsum(counts)])),
-                      shape=(n, c * (2 + k)))
-    emb += m @ g.reshape(-1, dim)
+    col = np.repeat(np.arange(c * (2 + k)),
+                    np.tile([1 + k] + [1] * (1 + k), c))
+    np.add.at(emb, rows.ravel(),
+              data.ravel()[:, None] * g.reshape(-1, dim)[col])
 
 
 def sigmoid_proximity(u, v):

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from scipy.special import expit
 
@@ -13,6 +14,7 @@ from corestab.embed import (_CHUNK, AliasTable, EigensolverError, EmbedSpec,
                             load_embedding_csv, save_embedding_binary,
                             save_embedding_csv)
 from corestab.graph import Graph
+from corestab.stable import _le_step
 
 from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
@@ -515,15 +517,72 @@ class TestScatterAdd:
         assert np.array_equal(emb, add_at_oracle(2, [1], -0.25 * g))
 
     def test_workspace_pointers_are_prefixes(self):
-        # the pointers of a c-item step are the prefix of the run's array
+        # the pointers of a c-item step are the prefix of the run's array;
+        # the spectral step's depend on c and are written by each step
         ws = _SGDWorkspace(3, 4)
+        emb = np.zeros((5, 4))
         for c in (1, 17, _CHUNK):
-            for ptr, counts in ((ws.line_ptr, [4, 1, 1, 1, 1]),
-                                (ws.pair_ptr, [1, 1]),
-                                (ws.le_ptr, [2, 2, 1, 1])):
-                want = np.cumsum([0] + counts * c)
+            pairs = np.zeros((c, 2), dtype=np.intp)
+            _le_step(emb, emb.copy(), pairs, np.ones(c), 0.1, 1.0, 1.0, ws)
+            for ptr, counts in ((ws.line_ptr, [4, 1, 1, 1, 1] * c),
+                                (ws.pair_ptr, [1, 1] * c),
+                                (ws.le_ptr, [2, 2] * c + [1, 1] * c)):
+                want = np.cumsum([0] + counts)
                 assert np.array_equal(ptr[:len(want)], want)
-        assert ws.line_ptr.dtype == ws.rows.dtype == np.int32
+        assert ws.line_ptr.dtype == ws.le_ptr.dtype == ws.rows.dtype == np.int32
+
+    @staticmethod
+    def valid_args():
+        # two columns of one entry each onto a 4 x 3 embedding
+        return (np.zeros((4, 3)), np.array([1.0, 2.0]),
+                np.array([0, 3], np.int32), np.array([0, 1, 2], np.int32),
+                np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [
+        {0: np.zeros((4, 3), order="F")}, {0: np.zeros((4, 6))[:, ::2]},
+        {0: np.zeros((4, 3), np.float32)}, {4: np.ones((4, 3))[::2]},
+        {2: np.array([0, 3], np.int64)}, {3: np.array([0, 1, 2], np.int64)},
+        {3: np.array([0, 1], np.int32)}, {3: np.array([1, 1, 2], np.int32)},
+        {1: np.array([1.0])}, {4: np.ones((2, 2))},
+        {2: np.array([0, 4], np.int32)}, {2: np.array([-1, 3], np.int32)},
+        {3: np.array([0, 2, 1], np.int32)}],
+        ids=["fortran", "sliced", "float32", "sliced_gathered", "int64_rows",
+             "int64_indptr", "short_indptr", "offset_indptr", "short_data",
+             "width", "row_past_end", "negative_row", "falling_indptr"])
+    def test_rejects_what_it_cannot_write_in_place(self, bad):
+        # Fortran-ordered, sliced and float32 embeddings, a sliced gathered
+        # block, int64 indices, a short, offset or falling indptr, short
+        # data, a width mismatch and rows outside the embedding: each
+        # raises, and the embedding is left untouched
+        args = list(self.valid_args())
+        for i, a in bad.items():
+            args[i] = a
+        before = args[0].copy()
+        with pytest.raises(ValueError):
+            apply_coefficients(*args)
+        assert np.array_equal(args[0], before)
+
+    def test_valid_args_apply(self):
+        emb, data, rows, indptr, g = self.valid_args()
+        apply_coefficients(emb, data, rows, indptr, g)
+        assert np.array_equal(emb, [[1] * 3, [0] * 3, [0] * 3, [2] * 3])
+
+    def test_compiled_kernels_match_public_products(self):
+        # the kernels are scipy internals; a scipy that moves or changes
+        # them fails here by name rather than corrupting embeddings
+        from scipy.sparse._sparsetools import csc_matvecs, csr_matvec
+        rng = np.random.default_rng(14)
+        m = sp.random(6, 5, density=0.5, format="csc", random_state=rng)
+        x = rng.normal(size=(5, 3))
+        y = rng.normal(size=(6, 3))
+        want = y + m @ x
+        csc_matvecs(6, 5, 3, m.indptr, m.indices, m.data, x.ravel(),
+                    y.reshape(-1))
+        assert np.allclose(y, want, rtol=0, atol=1e-14)
+        r = m.tocsr()
+        v, out = rng.normal(size=5), np.zeros(6)
+        csr_matvec(6, 5, r.indptr, r.indices, r.data, v, out)
+        assert np.array_equal(out, r @ v)
 
 
 class TestLineStep:
@@ -580,10 +639,11 @@ class TestLineStep:
             line_step_oracle(want, src, ctx, negs, 0.01 * b / _CHUNK)
             assert np.array_equal(emb, want)
 
-    def test_warm_step_allocates_under_256_kib(self):
+    @pytest.mark.parametrize("n", [1000, 10**6])
+    def test_warm_step_allocates_under_128_kib(self, n):
         import tracemalloc
         rng = np.random.default_rng(13)
-        n, dim, neg = 1000, 10, 5
+        dim, neg = 10, 5
         emb = rng.normal(size=(n, dim)) * 0.01
         src, ctx, negs = self.draws(rng, n, _CHUNK, neg)
         ws = _SGDWorkspace(neg, dim)
@@ -594,9 +654,10 @@ class TestLineStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the allocating step peaked at about 6 MiB here, the one-hot
-        # scatter of the gradient rows at about 130 KiB
-        assert peak < 256 * 1024
+        # the step writes in place, so n does not enter: a sparse product's
+        # n x dim result took about 80 KiB at n = 1 000 and 80 MB at 10**6,
+        # the one-hot scatter of the gradient rows about 130 KiB at 1 000
+        assert peak < 128 * 1024
 
 
 class TestAliasTable:
