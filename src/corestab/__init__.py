@@ -16,6 +16,5 @@ from .regress import RegressionFit, RegressionSample, collect_samples, ols_fit
 from .share import (ShareReport, emd_1d, max_instability_shell,
                     pairwise_distribution, run_share)
 from .stable import (StableConfig, StableResult, instability_penalty,
-                     isolated_core_embedding, le_base_gradient,
-                     stability_gradient, stable_train)
+                     isolated_core_embedding, stable_train)
 from .synth import GenSpec, desk_graph, generate

@@ -84,7 +84,7 @@ def _sign_canonical(vecs):
     return vecs * signs
 
 
-def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
+def laplacian_eigenmaps(g, dim, seed=0):
     """Spectral embedding from the random-walk normalized Laplacian.
 
     L_rw x = lambda x is N y = (1 - lambda) y with N = D^-1/2 A D^-1/2 and
@@ -175,8 +175,7 @@ def laplacian_eigenmaps(g, dim, seed=0, return_eigenvalues=False):
             f"eigenpairs for dim={dim} on n={n} graph are inaccurate: "
             f"max ||Lv - lambda Dv||/||Dv|| = {residual:.3g}, "
             f"max |V'DV - I| = {ortho:.3g} (tolerance {_EIG_TOL:g})")
-    emb = _sign_canonical(np.ascontiguousarray(vecs))
-    return (emb, vals) if return_eigenvalues else emb
+    return _sign_canonical(np.ascontiguousarray(vecs))
 
 
 class AliasTable:
@@ -367,6 +366,26 @@ def _line_step(emb, src, ctx, negs, lr, ws):
                        ws.line_ptr[:cols + 1], ws.gathered[:cols])
 
 
+def _line_updates(emb, g, edge_sampler, noise, rng, count, negatives, lr,
+                  ws):
+    """``count`` first-order SGD updates on ``g``, as LINE samples them.
+
+    Draws ``count`` edges from ``edge_sampler`` (the alias table of
+    ``g.weights``, so in proportion to weight), then one fair coin per edge
+    for which endpoint is the source, then ``negatives`` noise nodes per
+    edge from ``noise``, all from ``rng`` in that order, and applies them
+    through ``_line_step`` in ``_CHUNK``-edge pieces.
+    """
+    eidx = edge_sampler.draw(rng, count)
+    flip = rng.random(count) < 0.5
+    negs = noise.draw(rng, (count, negatives))
+    src = np.where(flip, g.edges[eidx, 1], g.edges[eidx, 0])
+    ctx = np.where(flip, g.edges[eidx, 0], g.edges[eidx, 1])
+    for lo in range(0, count, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        _line_step(emb, src[sl], ctx[sl], negs[sl], lr, ws)
+
+
 def line1_embed(g, spec):
     """First-order proximity embedding by edge-sampling SGD.
 
@@ -374,7 +393,8 @@ def line1_embed(g, spec):
     edge, ``spec.negatives`` noise nodes are drawn from the weighted-degree
     distribution raised to 3/4.  Rows start uniform in [-0.5/dim, 0.5/dim].
     Isolated nodes are never sampled and keep their initialization.  One
-    ``_SGDWorkspace`` per call holds every per-chunk temporary.
+    batch is ``_line_updates`` of m edges, and one ``_SGDWorkspace`` per call
+    holds every per-chunk temporary.
     """
     if spec.algorithm != LINE1:
         raise ValueError(f"spec.algorithm is {spec.algorithm!r}, expected {LINE1!r}")
@@ -385,18 +405,10 @@ def line1_embed(g, spec):
     emb = (rng.random((n, dim)) - 0.5) / dim
     edge_sampler = AliasTable(g.weights)
     noise = AliasTable(np.power(g.weighted_degrees, 0.75))
-    m = g.m
     ws = _SGDWorkspace(spec.negatives, dim)
     for t in range(spec.batches):
-        lr_t = spec.lr * (1.0 - t / spec.batches)
-        eidx = edge_sampler.draw(rng, m)
-        flip = rng.random(m) < 0.5
-        negs = noise.draw(rng, (m, spec.negatives))
-        src = np.where(flip, g.edges[eidx, 1], g.edges[eidx, 0])
-        ctx = np.where(flip, g.edges[eidx, 0], g.edges[eidx, 1])
-        for lo in range(0, m, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            _line_step(emb, src[sl], ctx[sl], negs[sl], lr_t, ws)
+        _line_updates(emb, g, edge_sampler, noise, rng, g.m, spec.negatives,
+                      spec.lr * (1.0 - t / spec.batches), ws)
     return emb
 
 

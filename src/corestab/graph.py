@@ -133,14 +133,6 @@ class SubgraphFeatures:
     avg_clustering_coefficient: float
     transitivity: float
 
-    def as_dict(self):
-        return {
-            "size": self.size,
-            "edge_density": self.edge_density,
-            "avg_clustering_coefficient": self.avg_clustering_coefficient,
-            "transitivity": self.transitivity,
-        }
-
 
 # str.split() separates tokens at exactly the characters for which
 # str.isspace() holds, and none lies above U+3000; the last entry stands

@@ -8,7 +8,7 @@ mover's distance), plus the per-shell instability increments.
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ class ShareReport:
             "metric": self.metric,
             "embedder": self.embedder,
             "records": [
-                {"k": r.k, "emd": r.emd, "delta": r.delta, **r.features.as_dict()}
+                {"k": r.k, "emd": r.emd, "delta": r.delta, **asdict(r.features)}
                 for r in self.records
             ],
         }
@@ -57,12 +57,10 @@ class ShareReport:
             ShareRecord(
                 k=int(r["k"]), emd=float(r["emd"]),
                 delta=None if r["delta"] is None else float(r["delta"]),
-                features=SubgraphFeatures(
-                    size=int(r["size"]),
-                    edge_density=float(r["edge_density"]),
-                    avg_clustering_coefficient=float(r["avg_clustering_coefficient"]),
-                    transitivity=float(r["transitivity"]),
-                ))
+                # each field's annotation (int or float) casts its value
+                features=SubgraphFeatures(**{
+                    f.name: f.type(r[f.name])
+                    for f in fields(SubgraphFeatures)}))
             for r in d["records"]
         ]
         return cls(dataset=d["dataset"], seed=int(d["seed"]), metric=d["metric"],

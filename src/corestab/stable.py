@@ -3,9 +3,12 @@
 Train a base embedding objective plus a penalty that pins the first-order
 proximities among degenerate-core nodes to those of the core embedded in
 isolation.  Each batch samples uniformly from the two sums the objective is
-made of: an edge of the graph takes the base update (only when its weight is
-positive), and an unordered pair of core nodes takes the penalty update.
-Core pairs are drawn directly, never materialized.
+made of: a draw from the base sum takes a base update, and an unordered pair
+of core nodes takes the penalty update.  A base draw picks an edge in
+proportion to weight for the line1 base, through the same sampler as
+``line1``, and uniformly among the positive-weight edges, with
+weight-scaled coefficients, for the spectral base.  Core pairs are drawn
+directly, never materialized.
 """
 
 import logging
@@ -16,7 +19,7 @@ from scipy.special import expit
 
 from ._util import derive_seed
 from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
-                    EmbedSpec, _gather, _line_step, _SGDWorkspace,
+                    EmbedSpec, _gather, _line_updates, _SGDWorkspace,
                     apply_coefficients, embed_graph, line_base_loss)
 from .graph import core_decomposition
 
@@ -129,40 +132,11 @@ def stability_coefficient(u_i, u_j, s_hat):
     return s * (1.0 - s) * (s - s_hat)
 
 
-def stability_gradient(u_i, u_j, u_hat_i, u_hat_j):
-    """Penalty gradient direction for u_i, constants dropped:
-    sigma(u_i.u_j) [1 - sigma(u_i.u_j)] [sigma(u_i.u_j) - sigma(u_hat_i.u_hat_j)] u_j
-    """
-    u_i = np.asarray(u_i, dtype=np.float64)
-    u_j = np.asarray(u_j, dtype=np.float64)
-    u_hat_i = np.asarray(u_hat_i, dtype=np.float64)
-    u_hat_j = np.asarray(u_hat_j, dtype=np.float64)
-    if not (u_i.shape == u_j.shape == u_hat_i.shape == u_hat_j.shape):
-        raise ValueError("dimension mismatch")
-    s_hat = _clipped_sigmoid_rows(u_hat_i, u_hat_j)
-    return stability_coefficient(u_i, u_j, s_hat)[..., None] * u_j
-
-
 def le_base_coefficients(w_ij, gamma, beta):
     """Coefficients of u_i, u_j and u_i0 in the spectral-base gradient for
     u_i: gamma w + beta, -gamma w and -beta."""
     gw = gamma * np.asarray(w_ij, dtype=np.float64)
     return gw + beta, -gw, -beta
-
-
-def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
-    """Spectral-base gradient for u_i, constants dropped:
-    gamma w (u_i - u_j) + beta (u_i - u_i0), where u_i0 is the row's
-    spectral initialization (the anchor replacing the orthogonality
-    constraint of the eigenproblem).
-    """
-    u_i = np.asarray(u_i, dtype=np.float64)
-    u_j = np.asarray(u_j, dtype=np.float64)
-    u_i0 = np.asarray(u_i0, dtype=np.float64)
-    if not (u_i.shape == u_j.shape == u_i0.shape):
-        raise ValueError("dimension mismatch")
-    a, b, c = le_base_coefficients(w_ij, gamma, beta)
-    return a[..., None] * u_i + b[..., None] * u_j + c * u_i0
 
 
 def _penalty_step(emb, ref, core, pos_i, pos_j, scale, ws):
@@ -286,14 +260,17 @@ def stable_train(g, cfg):
     Follows the generic recipe: embed the isolated core and the full graph
     with the base engine, then run ``cfg.batches`` sampling passes.  A batch
     is m + k(k-1)/2 uniform draws over the two sums of the objective, made
-    one chunk at a time: a draw below m is that edge of ``g`` and takes a
-    base gradient step when its weight is positive; any other draw is a
-    uniform unordered pair of the k core nodes and takes a stability step
-    scaled by ``lr * alpha``.  So each edge gets one base update and each
-    core pair one penalty update per batch in expectation.  The learning
-    rate decays linearly to zero.  One ``_SGDWorkspace`` per run holds the
-    chunk temporaries of the base and penalty steps, and every step applies
-    its updates as one sparse coefficient product (``apply_coefficients``).
+    one chunk at a time.  A draw below m takes a base step: for the line1
+    base, a chunk's c such draws are ``_line_updates`` of c edges drawn in
+    proportion to weight, as in ``line1_embed``; for the spectral base, the
+    draw is that edge of ``g``, whose weight-scaled step runs when its
+    weight is positive.  Any other draw is a uniform unordered pair of the
+    k core nodes and takes a stability step scaled by ``lr * alpha``.  So
+    the base sum gets m updates and each core pair one penalty update per
+    batch in expectation.  The learning rate decays linearly to zero.  One ``_SGDWorkspace`` per
+    run holds the chunk temporaries of the base and penalty steps, and every
+    step applies its updates as one sparse coefficient product
+    (``apply_coefficients``).
     """
     if cfg.alpha == 0:
         log.warning("alpha=0: the stability penalty is disabled")
@@ -318,7 +295,9 @@ def stable_train(g, cfg):
     edges, weights, m, k = g.edges, g.weights, g.m, len(core)
     draws = m + k * (k - 1) // 2
     is_line = cfg.base == LINE1
-    noise = AliasTable(np.power(g.weighted_degrees, 0.75)) if is_line else None
+    if is_line:
+        edge_sampler = AliasTable(weights)
+        noise = AliasTable(np.power(g.weighted_degrees, 0.75))
     rng_draws = np.random.default_rng(derive_seed(cfg.seed, "edge-stream"))
     rng_negs = np.random.default_rng(derive_seed(cfg.seed, "noise-stream"))
     ws = _SGDWorkspace(cfg.negatives, cfg.dim)
@@ -330,15 +309,12 @@ def stable_train(g, cfg):
         for lo in range(0, draws, _CHUNK):
             idx = rng_draws.integers(0, draws, size=min(_CHUNK, draws - lo))
             drawn = idx[idx < m]
-            e = drawn[weights[drawn] > 0]
-            if e.size:
-                if is_line:
-                    i_r, j_r = edges[e, 0], edges[e, 1]
-                    fl = rng_negs.random(e.size) < 0.5
-                    negs = noise.draw(rng_negs, (e.size, cfg.negatives))
-                    _line_step(emb, np.where(fl, j_r, i_r),
-                               np.where(fl, i_r, j_r), negs, lr_t, ws)
-                else:
+            if is_line:
+                _line_updates(emb, g, edge_sampler, noise, rng_negs,
+                              len(drawn), cfg.negatives, lr_t, ws)
+            else:
+                e = drawn[weights[drawn] > 0]
+                if e.size:
                     _le_step(emb, init, edges[e], weights[e], lr_t,
                              cfg.gamma, cfg.beta, ws)
             # the penalty reads the rows the base step above just wrote

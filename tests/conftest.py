@@ -8,8 +8,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
+import corestab.embed as embed_mod
+import corestab.stable as stable_mod
 from corestab.embed import line_negative_coefficient, line_positive_coefficient
 from corestab.graph import Graph, SubgraphFeatures
+from corestab.stable import le_base_coefficients, stability_coefficient
 from corestab.synth import GenSpec, generate
 
 # Zachary karate club, 34 nodes, 78 edges (1-indexed as usually published)
@@ -235,6 +238,52 @@ def line_gradients(u_i, u_j, negatives):
     s_neg = line_negative_coefficient(u_i, negs)
     return (s * u_j + np.einsum("...k,...kd->...d", s_neg, negs), s * u_i,
             s_neg[..., None] * u_i[..., None, :])
+
+
+def stability_gradient(u_i, u_j, h_i, h_j):
+    """Penalty gradient for u_i, constants dropped, from the coefficient the
+    penalty step runs: s (1 - s) (s - s_hat) u_j with s = sigma(u_i . u_j)
+    and s_hat = sigma(h_i . h_j) from the reference rows."""
+    s_hat = expit(np.einsum("...d,...d->...", h_i, h_j))
+    return stability_coefficient(u_i, u_j, s_hat)[..., None] * u_j
+
+
+def le_base_gradient(u_i, u_j, u_i0, w_ij, gamma, beta):
+    """Spectral-base gradient for u_i, constants dropped, from the
+    coefficients the spectral-base step runs: gamma w (u_i - u_j) +
+    beta (u_i - u_i0), with u_i0 the row's spectral initialization."""
+    a, b, c = le_base_coefficients(w_ij, gamma, beta)
+    return a[..., None] * u_i + b[..., None] * u_j + c * u_i0
+
+
+def spy_training_line_steps(monkeypatch, record):
+    """Call ``record(src, ctx)`` before each ``_line_step`` of the SGD pass
+    of ``stable_train``; the steps of its reference and init embeddings,
+    made through ``corestab.stable.embed_graph``, are not recorded."""
+    real_step, real_embed = embed_mod._line_step, stable_mod.embed_graph
+    embedding = [False]
+
+    def embed_spy(g, spec):
+        embedding[0] = True
+        try:
+            return real_embed(g, spec)
+        finally:
+            embedding[0] = False
+
+    def step_spy(emb, src, ctx, negs, lr, ws):
+        if not embedding[0]:
+            record(src, ctx)
+        return real_step(emb, src, ctx, negs, lr, ws)
+
+    monkeypatch.setattr(stable_mod, "embed_graph", embed_spy)
+    monkeypatch.setattr(embed_mod, "_line_step", step_spy)
+
+
+def rayleigh_eigenvalues(g, emb):
+    """Eigenvalues of the D-orthonormal columns of a spectral embedding as
+    Rayleigh quotients, lambda = v'(D - A)v = 1 - v'Av."""
+    adj = sp.csr_matrix((g.weights, g.edges.T), shape=(g.n, g.n))
+    return 1.0 - np.einsum("nd,nd->d", emb, (adj + adj.T) @ emb)
 
 
 def add_at_oracle(n, rows, updates):

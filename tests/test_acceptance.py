@@ -22,13 +22,13 @@ from corestab.graph import core_decomposition, load_edge_list
 from corestab.regress import (RegressionSample, collect_samples,
                               design_matrix, ols_fit)
 from corestab.share import emd_1d, run_share
-from corestab.stable import (StableConfig, le_base_gradient,
-                             stability_gradient, stable_train)
+from corestab.stable import StableConfig, stable_train
 from corestab.synth import GenSpec, desk_graph, generate
 
 from conftest import (ba_with_pendants, central_difference,
                       clique_rw_spectrum, clique_spectrum_numeric, emd_lp,
-                      line_gradients, naive_coreness, random_er)
+                      le_base_gradient, line_gradients, naive_coreness,
+                      random_er, stability_gradient)
 
 SEEDS = (0, 1, 2)
 

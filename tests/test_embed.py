@@ -20,7 +20,8 @@ from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
                       clique_spectrum_numeric, clique_spectrum_shift_oracle,
                       cluster_eigenvalues, complete_graph, component_count,
                       dense_eigenmaps_oracle, line_gradients, line_step_oracle,
-                      random_er, rw_normalized_laplacian, sigmoid_proximity)
+                      random_er, rayleigh_eigenvalues, rw_normalized_laplacian,
+                      sigmoid_proximity)
 
 
 class TestSigmoidProximity:
@@ -118,16 +119,17 @@ class TestLaplacianEigenmaps:
 
     def test_cycle6_eigenvalues(self):
         cycle = Graph(6, [[i, (i + 1) % 6] for i in range(6)])
-        _, vals = laplacian_eigenmaps(cycle, 2, return_eigenvalues=True)
+        vals = rayleigh_eigenvalues(cycle, laplacian_eigenmaps(cycle, 2))
         assert np.allclose(vals, 1 - np.cos(2 * np.pi / 6), atol=1e-8)
 
     def test_clique_degenerate_eigenvalues(self):
-        _, vals = laplacian_eigenmaps(complete_graph(10), 3,
-                                      return_eigenvalues=True)
+        clique = complete_graph(10)
+        vals = rayleigh_eigenvalues(clique, laplacian_eigenmaps(clique, 3))
         assert np.allclose(vals, 10 / 9, atol=1e-8)
 
     def test_eigenpair_residuals(self, karate):
-        emb, vals = laplacian_eigenmaps(karate, 4, return_eigenvalues=True)
+        emb = laplacian_eigenmaps(karate, 4)
+        vals = rayleigh_eigenvalues(karate, emb)
         lap = rw_normalized_laplacian(karate)
         for c in range(emb.shape[1]):
             resid = lap @ emb[:, c] - vals[c] * emb[:, c]
@@ -142,7 +144,8 @@ class TestLaplacianEigenmaps:
 
     def test_disconnected_skips_all_zero_modes(self):
         two = Graph(4, [[0, 1], [2, 3]])
-        emb, vals = laplacian_eigenmaps(two, 2, return_eigenvalues=True)
+        emb = laplacian_eigenmaps(two, 2)
+        vals = rayleigh_eigenvalues(two, emb)
         assert emb.shape == (4, 2)
         assert (vals > 1e-8).all()
 
@@ -173,8 +176,8 @@ class TestLaplacianEigenmaps:
         cases = [(karate, 4), (er, 4), (weighted, 4),
                  (two_cliques_bridged(30), 1), (three, 3), (large, 4)]
         for g, dim in cases:
-            emb, vals = laplacian_eigenmaps(g, dim, seed=1,
-                                            return_eigenvalues=True)
+            emb = laplacian_eigenmaps(g, dim, seed=1)
+            vals = rayleigh_eigenvalues(g, emb)
             want_emb, want_vals = dense_eigenmaps_oracle(g, dim)
             assert np.abs(vals - want_vals).max() <= 1e-10, g.n
             # column signs are compared apart: the bridged cliques' Fiedler
@@ -209,8 +212,8 @@ class TestLaplacianEigenmaps:
         for g, dim in cases:
             for seed in (0, 1, 2):
                 calls.clear()
-                _, vals = laplacian_eigenmaps(g, dim, seed=seed,
-                                              return_eigenvalues=True)
+                vals = rayleigh_eigenvalues(
+                    g, laplacian_eigenmaps(g, dim, seed=seed))
                 _, want = dense_eigenmaps_oracle(g, dim)
                 assert np.abs(vals - want).max() <= 1e-10, (g.n, dim, seed)
                 most_calls = max(most_calls, len(calls))
@@ -243,8 +246,8 @@ class TestLaplacianEigenmaps:
 
         want_emb, want_vals = dense_eigenmaps_oracle(karate, 4)
         monkeypatch.setattr(em, "eigsh", missing_top)
-        emb, vals = laplacian_eigenmaps(karate, 4, seed=1,
-                                        return_eigenvalues=True)
+        emb = laplacian_eigenmaps(karate, 4, seed=1)
+        vals = rayleigh_eigenvalues(karate, emb)
         assert np.abs(vals - want_vals).max() <= 1e-10
         assert np.abs(emb - want_emb).max() <= 1e-8
 
@@ -308,8 +311,8 @@ class TestLaplacianEigenmaps:
         assert component_count(g) == 301
         want_emb, want_vals = dense_eigenmaps_oracle(g, 16)
         for dim in (1, 8, 16):
-            emb, vals = laplacian_eigenmaps(g, dim, seed=2,
-                                            return_eigenvalues=True)
+            emb = laplacian_eigenmaps(g, dim, seed=2)
+            vals = rayleigh_eigenvalues(g, emb)
             assert np.abs(vals - want_vals[:dim]).max() <= 1e-10, dim
             assert np.abs(emb - want_emb[:, :dim]).max() <= 1e-8, dim
 
@@ -321,7 +324,8 @@ class TestLaplacianEigenmaps:
         g = Graph(g.n, g.edges, rng.exponential(size=g.m))
         assert component_count(g) == 1
         for dim in (g.n - 2, g.n - 1):
-            emb, vals = laplacian_eigenmaps(g, dim, return_eigenvalues=True)
+            emb = laplacian_eigenmaps(g, dim)
+            vals = rayleigh_eigenvalues(g, emb)
             want_emb, want_vals = dense_eigenmaps_oracle(g, dim)
             assert np.abs(vals - want_vals).max() <= 1e-10
             assert np.abs(emb - want_emb).max() <= 1e-8
@@ -362,7 +366,7 @@ class TestNetworkxSpectrum:
         G.add_nodes_from(range(g.n))
         G.add_edges_from(g.edges.tolist())
         want = np.linalg.eigvalsh(nx.normalized_laplacian_matrix(G).toarray())
-        _, vals = laplacian_eigenmaps(g, dim, return_eigenvalues=True)
+        vals = rayleigh_eigenvalues(g, laplacian_eigenmaps(g, dim))
         assert np.abs(want[:comps]).max() <= 1e-10
         assert np.abs(vals - want[comps:comps + dim]).max() <= 1e-10
 

@@ -11,13 +11,13 @@ from corestab.embed import _CHUNK, EmbedSpec, _SGDWorkspace, embed_graph
 from corestab.graph import Graph, core_decomposition
 from corestab.stable import (StableConfig, TrainingDivergence, _le_step,
                              _penalty_step, instability_penalty,
-                             isolated_core_embedding, le_base_gradient,
-                             proximity_gaps_squared, stability_coefficient,
-                             stability_gradient, stable_train)
+                             isolated_core_embedding, proximity_gaps_squared,
+                             stability_coefficient, stable_train)
 from corestab.synth import desk_graph
 
 from conftest import (ba_with_pendants, central_difference, complete_graph,
-                      sigmoid_proximity)
+                      le_base_gradient, sigmoid_proximity,
+                      spy_training_line_steps, stability_gradient)
 
 
 def vec_for_sigma(p):
@@ -124,8 +124,9 @@ class TestStabilityGradient:
             assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)
 
     def test_trainer_uses_the_same_coefficient(self, monkeypatch):
-        # both the finite-difference-checked gradient and the training loop
-        # must reach the penalty through stability_coefficient
+        # the finite-difference-checked gradient is built on
+        # stability_coefficient; the training loop must reach the penalty
+        # through it too
         calls = []
         real = stable_mod.stability_coefficient
 
@@ -134,20 +135,9 @@ class TestStabilityGradient:
             return real(u_i, u_j, s_hat)
 
         monkeypatch.setattr(stable_mod, "stability_coefficient", spy)
-        rng = np.random.default_rng(5)
-        u_i, u_j, h_i, h_j = rng.normal(size=(4, 6, 3))
-        got = stability_gradient(u_i, u_j, h_i, h_j)
-        s_hat = expit(np.einsum("ed,ed->e", h_i, h_j))
-        assert np.allclose(got, real(u_i, u_j, s_hat)[:, None] * u_j)
-        assert calls == [6]
         stable_train(desk_graph(), StableConfig.for_base(
             "line1", dim=3, batches=2, seed=0))
         assert len(calls) > 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            stability_gradient(np.zeros(2), np.zeros(3), np.zeros(2),
-                               np.zeros(2))
 
 
 class TestLeBaseGradient:
@@ -175,10 +165,6 @@ class TestLeBaseGradient:
             fd = central_difference(loss, u_i)
             analytic = 2.0 * le_base_gradient(u_i, u_j, u_0, w, gamma, beta)
             assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-8)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            le_base_gradient(np.zeros(2), np.zeros(3), np.zeros(2), 1.0, 1, 1)
 
 
 class TestSteps:
@@ -307,17 +293,31 @@ class TestStableTrain:
         positive = {tuple(e) for e, w in zip(g.edges.tolist(), g.weights)
                     if w > 0}
         pairs = []
-        real = stable_mod._line_step
-
-        def spy(emb, src, ctx, negs, lr, ws):
-            pairs.extend(zip(src.tolist(), ctx.tolist()))
-            return real(emb, src, ctx, negs, lr, ws)
-
-        monkeypatch.setattr(stable_mod, "_line_step", spy)
+        spy_training_line_steps(monkeypatch, lambda src, ctx: pairs.extend(
+            zip(src.tolist(), ctx.tolist())))
         stable_train(g, StableConfig.for_base("line1", dim=3, batches=12,
                                               seed=7))
         assert pairs
         assert all((min(p), max(p)) in positive for p in pairs)
+
+    def test_line_base_draws_edges_in_proportion_to_weight(self,
+                                                          monkeypatch):
+        # the line1 objective is -sum w log sigma(u_i . u_j): its base draws
+        # must pick the weight-9 edges 9 times as often as the weight-1 ones
+        g0 = desk_graph()
+        weights = np.where(np.arange(g0.m) % 2 == 0, 9.0, 1.0)
+        g = Graph(g0.n, g0.edges, weights)
+        heavy = {tuple(e) for e, w in zip(g.edges.tolist(), weights)
+                 if w == 9.0}
+        pairs = []
+        spy_training_line_steps(monkeypatch, lambda src, ctx: pairs.extend(
+            zip(src.tolist(), ctx.tolist())))
+        stable_train(g, StableConfig.for_base("line1", dim=3, batches=200,
+                                              seed=1))
+        share = np.mean([(min(p), max(p)) in heavy for p in pairs])
+        want = weights[::2].sum() / weights.sum()
+        assert len(pairs) >= 100 * g.m
+        assert abs(share - want) <= 0.02, (share, want)
 
     def test_pair_draws_cover_core_pairs_uniformly(self, monkeypatch):
         # K10 with ten pendants: the core is the clique, k = 10, 45 pairs
@@ -327,13 +327,11 @@ class TestStableTrain:
         g = Graph(2 * k, np.vstack([clique.edges, leaves]))
         n_pairs = k * (k - 1) // 2
         pairs, per_batch, draws = [], [], [0]
-        real_step = stable_mod._line_step
         real_apply = stable_mod.apply_coefficients
         real_loss = stable_mod.line_base_loss
 
-        def step_spy(emb, src, ctx, negs, lr, ws):
+        def step_spy(src, ctx):
             draws[0] += len(src)
-            return real_step(emb, src, ctx, negs, lr, ws)
 
         def apply_spy(emb, data, rows, indptr, gathered):
             # with the line1 base only the penalty step applies from here;
@@ -349,7 +347,7 @@ class TestStableTrain:
             draws[0] = 0
             return real_loss(graph, emb)
 
-        monkeypatch.setattr(stable_mod, "_line_step", step_spy)
+        spy_training_line_steps(monkeypatch, step_spy)
         monkeypatch.setattr(stable_mod, "apply_coefficients", apply_spy)
         monkeypatch.setattr(stable_mod, "line_base_loss", loss_spy)
         stable_train(g, StableConfig.for_base("line1", dim=3,
