@@ -42,16 +42,6 @@ EXIT_PARTIAL = 4
 _FEATURE_FIELDS = [f.name for f in fields(SubgraphFeatures)]
 
 
-def _threads():
-    raw = os.environ.get("COREstab_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("COREstab_THREADS=%r is not an integer; using 1 thread",
-                    raw)
-        return 1
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -158,19 +148,19 @@ def cmd_share(args):
     dist_dir = os.path.join(args.out, "distributions")
     os.makedirs(dist_dir, exist_ok=True)
 
+    def write_distribution(k, dist):
+        write_csv(os.path.join(dist_dir, f"k{k}.csv"), ["distance"], [dist])
+
     partial = {}
     try:
         report = run_share(g, embedder, seed=args.seed, dataset=dataset,
-                           metric=args.metric, threads=_threads(),
-                           keep_distributions=True)
+                           metric=args.metric,
+                           on_distribution=write_distribution)
     except ShareEmbedderError as exc:
         log.error("embedder failed at k=%d: %s", exc.k, exc.__cause__)
         report = exc.partial
         partial = {"partial": True, "failed_k": exc.k}
     _write_share_outputs(args.out, report, **partial)
-
-    for k, dist in (report.distributions or {}).items():
-        write_csv(os.path.join(dist_dir, f"k{k}.csv"), ["distance"], [dist])
 
     config = {"graph": args.graph,
               "embedder": embedder.to_dict() if isinstance(embedder, EmbedSpec)

@@ -6,8 +6,6 @@ among degenerate-core nodes drifts from the full-graph baseline (earth
 mover's distance), plus the per-shell instability increments.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -36,7 +34,6 @@ class ShareReport:
     metric: str
     embedder: dict
     records: list
-    distributions: Optional[dict] = None  # k -> sorted distances, if kept
 
     def to_dict(self):
         return {
@@ -109,8 +106,8 @@ def emd_1d(a, b):
     return float(np.sum(np.abs(cdf_a - cdf_b) * widths))
 
 
-def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
-              keep_distributions=False):
+def run_share(g, embedder, seed=0, dataset="", metric="euclidean",
+              on_distribution=None):
     """Full shave-and-re-embed pass over every populated shell value.
 
     ``embedder`` is an EmbedSpec or a callable ``(subgraph, seed, k) -> matrix``
@@ -121,8 +118,10 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
     and the report holds the baseline record alone.  Each shell re-embeds with
     a seed derived from (seed, k), so runs are independent but reproducible.
 
-    With ``keep_distributions`` the report also carries the raw sorted
-    distance multiset per shell.
+    Shells run one at a time in the calling thread, and only the baseline's
+    distances outlive their shell: ``on_distribution(k, dist)``, if given,
+    receives each shell's sorted core-pair distances once it is measured.
+    A failing shell raises ShareEmbedderError with the earlier shells' report.
     """
     is_spec = isinstance(embedder, EmbedSpec)
     cm = core_decomposition(g)
@@ -132,7 +131,7 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
     features = subgraph_features(g, cm)
     ks = [0] if len(core) == g.n else list(features)
 
-    def shell_result(k):
+    def shell_distribution(k):
         kept = np.flatnonzero(cm.coreness >= k)
         sub = g.induced_subgraph(kept)
         shell_seed = derive_seed(seed, "shell", k)
@@ -141,33 +140,32 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean", threads=1,
         if emb.shape[0] != sub.n:
             raise ValueError(f"embedder returned {emb.shape[0]} rows for "
                              f"{sub.n}-node subgraph at k={k}")
-        return pairwise_distribution(emb, np.searchsorted(kept, core), metric)
+        dist = pairwise_distribution(emb, np.searchsorted(kept, core), metric)
+        # sorted, so a NaN or inf lands last
+        if not np.isfinite(dist[-1]):
+            raise ValueError(f"non-finite core-pair distance at k={k}: an "
+                             "embedding row is non-finite, or all zeros "
+                             "under cosine")
+        return dist
 
-    # with one thread the shells run in the calling thread, so thread-local
-    # state (such as a tracer's span stack) sees them
-    records, failure = [], None
-    distributions = {} if keep_distributions else None
-    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
-        outcomes = (pool.map if pool else map)(shell_result, ks)
-        for k in ks:
-            try:
-                dist = next(outcomes)
-            except Exception as exc:  # keep earlier shells for the partial report
-                failure = (k, exc)
-                break
-            if not records:
-                baseline, emd, delta = dist, 0.0, None
-            else:
-                emd = emd_1d(dist, baseline)
-                delta = emd - records[-1].emd
-            records.append(ShareRecord(k, emd, delta, features[k]))
-            if keep_distributions:
-                distributions[k] = dist
     report = ShareReport(dataset=dataset, seed=seed, metric=metric,
                          embedder=embedder.to_dict() if is_spec else {},
-                         records=records, distributions=distributions)
-    if failure is not None:
-        raise ShareEmbedderError(failure[0], report, failure[1]) from failure[1]
+                         records=[])
+    records = report.records
+    for k in ks:
+        try:
+            dist = shell_distribution(k)
+        except Exception as exc:  # keep earlier shells for the partial report
+            raise ShareEmbedderError(k, report, exc) from exc
+        if not records:
+            baseline, emd, delta = dist, 0.0, None
+        else:
+            emd = emd_1d(dist, baseline)
+            delta = emd - records[-1].emd
+        records.append(ShareRecord(k, emd, delta, features[k]))
+        if on_distribution is not None:
+            on_distribution(k, dist)
+        del dist  # free this shell before the next one is measured
     return report
 
 

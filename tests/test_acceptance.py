@@ -182,10 +182,18 @@ def pattern2_reports():
     # BA alone is its own degenerate core; pendants give it shells to shave
     for label, g in (("er", generate(GenSpec("er", 5000, p=0.002, seed=7))),
                      ("ba+pendants", ba_with_pendants(2000, 5, 1000, 7))):
-        out[label] = [
-            run_share(g, spec, seed=s, dataset=label, keep_distributions=True)
-            for s in SEEDS
-        ]
+        out[label] = []
+        for s in SEEDS:
+            # keep only the baseline's mean, not every shell's distances
+            means = {}
+
+            def keep_baseline_mean(k, dist):
+                if k == 0:
+                    means[k] = dist.mean()
+
+            rep = run_share(g, spec, seed=s, dataset=label,
+                            on_distribution=keep_baseline_mean)
+            out[label].append((rep, means[0]))
     return out
 
 
@@ -195,12 +203,11 @@ def test_criterion_5_pattern2_stability(pattern2_reports):
     ok = True
     for label, reports in pattern2_reports.items():
         ratios = []
-        for rep in reports:
+        for rep, baseline_mean in reports:
             if len(rep.records) < 2:  # no shell was shaved: vacuous arm
                 report(5, False, f"{label}: only the baseline record")
-            baseline = rep.distributions[rep.records[0].k]
             max_emd = max(r.emd for r in rep.records[1:])
-            ratios.append(max_emd / baseline.mean())
+            ratios.append(max_emd / baseline_mean)
         med = float(np.median(ratios))
         ok &= med <= 0.1
         details.append(f"{label}: median max-EMD/mean(D0) = {med:.4f}")
@@ -357,7 +364,7 @@ def test_criterion_9_regression_sanity(pattern2_reports, karate):
 
     spec = EmbedSpec("line1", 10, batches=50)
     pooled_reports = [r for reports in pattern2_reports.values()
-                      for r in reports]
+                      for r, _ in reports]
     pooled_reports.append(run_share(karate, spec, seed=0, dataset="karate"))
     pooled_reports.append(run_share(desk_graph(), spec, seed=0,
                                     dataset="desk"))

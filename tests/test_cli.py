@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import corestab
-from corestab.cli import _threads, main
+from corestab.cli import main
 from corestab.embed import save_embedding_csv
 
 from conftest import (KARATE_EDGES, ba_with_pendants, complete_graph,
@@ -218,6 +218,42 @@ class TestShare:
         report = read_json(out, "share_report.json")
         assert report["partial"] is True
         assert report["failed_k"] == 2
+        written = sorted(os.listdir(os.path.join(out, "distributions")))
+        assert written == ["k0.csv", "k1.csv"]
+
+    def test_cosine_zero_row_partial_exit_4(self, tmp_path, caplog):
+        from corestab.synth import desk_graph
+        g = desk_graph()
+        graph = write_graph(tmp_path, "desk.txt",
+                            [tuple(e) for e in g.edges.tolist()])
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        rng = np.random.default_rng(0)
+        # shells 0, 1 and 4; the k=4 core embedding has one all-zero row,
+        # whose cosine distances are undefined
+        for k, n in ((0, 14), (1, 14), (4, 10)):
+            emb = rng.normal(size=(n, 2))
+            if k == 4:
+                emb[3] = 0.0
+            save_embedding_csv(ext / f"embeddings_k{k}.csv", emb, range(n))
+        out = str(tmp_path / "o")
+        with caplog.at_level("ERROR"):
+            code = main(["share", "--graph", graph, "--external-embeddings",
+                         str(ext), "--metric", "cosine", "--out", out])
+        assert code == 4
+        assert any("k=4" in r.getMessage() and "non-finite" in r.getMessage()
+                   for r in caplog.records)
+
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        report = json.loads(read_text(out, "share_report.json"),
+                            parse_constant=reject)
+        assert report["failed_k"] == 4
+        assert [r["k"] for r in report["records"]] == [0, 1]
+        assert "nan" not in read_text(out, "share_report.csv").lower()
+        written = sorted(os.listdir(os.path.join(out, "distributions")))
+        assert written == ["k0.csv", "k1.csv"]
 
     def test_external_missing_file_logs_cause(self, tmp_path, caplog):
         graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -254,20 +290,6 @@ def test_cli_import_does_not_load_scipy_stats():
             "sys.exit(int('scipy.stats' in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env)
     assert done.returncode == 0
-
-
-class TestThreads:
-    def test_malformed_value_warns_and_uses_one(self, monkeypatch, caplog):
-        monkeypatch.setenv("COREstab_THREADS", "two")
-        with caplog.at_level("WARNING", logger="corestab"):
-            assert _threads() == 1
-        assert any("'two'" in r.getMessage() for r in caplog.records)
-
-    def test_valid_value_is_silent(self, monkeypatch, caplog):
-        monkeypatch.setenv("COREstab_THREADS", "3")
-        with caplog.at_level("WARNING", logger="corestab"):
-            assert _threads() == 3
-        assert not caplog.records
 
 
 class TestStable:

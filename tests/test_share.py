@@ -129,14 +129,6 @@ class TestRunShare:
         b = run_share(karate, spec, seed=3)
         assert [r.emd for r in a.records] == [r.emd for r in b.records]
 
-    def test_threads_match_serial(self):
-        g = desk_graph()
-        spec = EmbedSpec("line1", 3, batches=10)
-        serial = run_share(g, spec, seed=5)
-        threaded = run_share(g, spec, seed=5, threads=3)
-        assert [r.emd for r in serial.records] == \
-            [r.emd for r in threaded.records]
-
     def test_callable_embedder_and_failure(self):
         g = desk_graph()
         calls = []
@@ -164,20 +156,20 @@ class TestRunShare:
         run_share(desk_graph(), embedder, seed=2)
         assert seen == [(k, threading.get_ident()) for k in (0, 1, 4)]
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_failure_partial_report_and_distributions(self, threads):
+    def test_failure_partial_report_and_distributions(self):
         def embedder(sub, seed, k):
             if k == 4:
                 raise RuntimeError("boom")
             return np.random.default_rng(seed).normal(size=(sub.n, 2))
 
+        handed = []
         with pytest.raises(ShareEmbedderError) as info:
-            run_share(desk_graph(), embedder, seed=2, threads=threads,
-                      keep_distributions=True)
+            run_share(desk_graph(), embedder, seed=2,
+                      on_distribution=lambda k, d: handed.append(k))
         partial = info.value.partial
         assert isinstance(info.value.__cause__, RuntimeError)
         assert [r.k for r in partial.records] == [0, 1]
-        assert sorted(partial.distributions) == [0, 1]
+        assert handed == [0, 1]
         assert partial.records[1].delta == partial.records[1].emd
 
     def test_core_too_small(self):
