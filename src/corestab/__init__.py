@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .embed import EmbedSpec, embed_graph, laplacian_eigenmaps, line1_embed
 from .evaluation import (EvalScores, LinkPredSplit, evaluate, make_split,
                          score_pairs, stability_error_distribution)
-from .graph import (CorenessMap, Graph, SubgraphFeatures, core_completeness,
-                    core_decomposition, load_edge_list, subgraph_features)
+from .graph import (CorenessMap, Graph, SubgraphFeatures, core_decomposition,
+                    load_edge_list, subgraph_features)
 from .regress import RegressionFit, RegressionSample, collect_samples, ols_fit
 from .share import (ShareReport, emd_1d, max_instability_shell,
                     pairwise_distribution, run_share)

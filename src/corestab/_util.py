@@ -57,19 +57,14 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def fmt_float(x):
-    """Shortest round-trip decimal form; keeps CSV output byte-reproducible."""
-    return repr(float(x))
-
-
 def write_csv(path, header, columns):
     """Write a table atomically: a header line, then one comma-joined line
     per row.
 
     ``columns`` are equal-length numpy arrays, lists or ranges, one per header
-    name.  A float cell is written by ``fmt_float`` and any other cell by
-    ``str``.  Rows go out in pieces of ``_PIECE_ROWS``, so a large table is
-    never one string in memory.
+    name.  Every cell is written by ``str``, which gives a float, Python or
+    numpy, in shortest round-trip form.  Rows go out in pieces of
+    ``_PIECE_ROWS``, so a large table is never one string in memory.
     """
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
@@ -84,8 +79,7 @@ def write_csv(path, header, columns):
                 block = col[lo:lo + _PIECE_ROWS]
                 if isinstance(block, np.ndarray):
                     block = block.tolist()
-                cells.append([fmt_float(x) if isinstance(x, float) else str(x)
-                              for x in block])
+                cells.append(map(str, block))
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     write_atomic(path, pieces())

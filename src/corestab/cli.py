@@ -1,7 +1,8 @@
 """Command-line driver for reproducible experiments.
 
-Every command takes a single --seed, derives sub-seeds for its internal
-streams, writes its primary outputs atomically, and drops a manifest
+Every command that draws random numbers takes a single --seed (config
+files carry none) and derives sub-seeds for its internal streams; each
+writes its primary outputs atomically, and drops a manifest
 (config echo, input hashes, wall time) into the output directory.  Primary
 outputs are byte-identical across reruns with the same inputs and seed.
 
@@ -25,8 +26,8 @@ from ._util import json_dumps_stable, sha256_file, write_atomic, write_csv
 from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
-from .graph import (GraphParseError, SubgraphFeatures, core_completeness,
-                    core_decomposition, load_edge_list, subgraph_features)
+from .graph import (GraphParseError, SubgraphFeatures, core_decomposition,
+                    load_edge_list, subgraph_features)
 from .regress import FEATURE_NAMES, collect_samples, ols_fit
 from .share import ShareEmbedderError, ShareReport, run_share
 from .stable import StableConfig, TrainingDivergence, stable_train
@@ -74,21 +75,19 @@ def cmd_kcore(args):
     write_csv(os.path.join(args.out, "coreness.csv"), ["node_id", "coreness"],
               [g.orig_ids, cm.coreness])
 
-    completeness = None
-    if len(cm.degenerate_core) >= 2:
-        completeness = core_completeness(g, cm)
+    feats = subgraph_features(g, cm)
     summary = {
         "schema_version": 1,
         "n": g.n,
         "m": g.m,
         "degeneracy": cm.k_max,
         "degenerate_core": [int(g.orig_ids[v]) for v in cm.degenerate_core],
-        "core_completeness": completeness,
+        # the edge density of the degenerate core
+        "core_completeness": (feats[cm.k_max].edge_density
+                              if len(cm.degenerate_core) >= 2 else None),
     }
     write_atomic(os.path.join(args.out, "kcore_summary.json"),
                  json_dumps_stable(summary))
-
-    feats = subgraph_features(g, cm)
     write_csv(os.path.join(args.out, "core_features.csv"),
               ["k", *_FEATURE_FIELDS],
               [list(feats), *_feature_columns(feats.values())])
@@ -137,10 +136,7 @@ def cmd_share(args):
     inputs = [args.graph]
     dataset = os.path.basename(args.graph)
     if args.embedder:
-        spec_dict = _load_json(args.embedder)
-        if args.dim is not None:
-            spec_dict["dim"] = args.dim
-        embedder = EmbedSpec.from_dict(spec_dict)
+        embedder = EmbedSpec.from_dict(_load_json(args.embedder))
         inputs.append(args.embedder)
     else:
         embedder = _external_embedder(args.external_embeddings)
@@ -157,7 +153,7 @@ def cmd_share(args):
                            metric=args.metric,
                            on_distribution=write_distribution)
     except ShareEmbedderError as exc:
-        log.error("embedder failed at k=%d: %s", exc.k, exc.__cause__)
+        log.error("%s", exc)
         report = exc.partial
         partial = {"partial": True, "failed_k": exc.k}
     _write_share_outputs(args.out, report, **partial)
@@ -172,11 +168,9 @@ def cmd_share(args):
 def cmd_stable(args):
     started = time.time()
     g = load_edge_list(args.graph)
-    cfg_dict = _load_json(args.config)
-    cfg_dict.setdefault("seed", args.seed)
-    cfg = StableConfig.from_dict(cfg_dict)
+    cfg = StableConfig.from_dict(_load_json(args.config))
     os.makedirs(args.out, exist_ok=True)
-    result = stable_train(g, cfg)
+    result = stable_train(g, cfg, args.seed)
 
     save_embedding_csv(os.path.join(args.out, "embeddings.csv"),
                        result.embeddings, g.orig_ids)
@@ -196,7 +190,7 @@ def cmd_stable(args):
                  json_dumps_stable(cfg.to_dict()))
     _write_manifest(args.out, "stable",
                     {"graph": args.graph, "config": cfg.to_dict()},
-                    cfg.seed, [args.graph, args.config], started)
+                    args.seed, [args.graph, args.config], started)
     return EXIT_OK
 
 
@@ -300,19 +294,17 @@ def cmd_regress(args):
 
 def cmd_generate(args):
     started = time.time()
-    spec_dict = _load_json(args.spec)
-    spec_dict.setdefault("seed", args.seed)
-    spec = GenSpec.from_dict(spec_dict)
-    g = generate(spec)
+    spec = GenSpec.from_dict(_load_json(args.spec))
+    g = generate(spec, args.seed)
     os.makedirs(args.out, exist_ok=True)
     lines = [f"{int(i)} {int(j)}" for i, j in g.edges]
     write_atomic(os.path.join(args.out, "edges.txt"),
                  "\n".join(lines) + ("\n" if lines else ""))
     provenance = {"schema_version": 1, "spec": spec.to_dict(),
-                  "n": g.n, "m": g.m}
+                  "seed": args.seed, "n": g.n, "m": g.m}
     write_atomic(os.path.join(args.out, "provenance.json"),
                  json_dumps_stable(provenance))
-    _write_manifest(args.out, "generate", spec.to_dict(), spec.seed,
+    _write_manifest(args.out, "generate", spec.to_dict(), args.seed,
                     [args.spec], started)
     return EXIT_OK
 
@@ -336,7 +328,6 @@ def build_parser():
     p.add_argument("--external-embeddings",
                    help="directory of embeddings_k{k}.csv files keyed by "
                    "original node id")
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--metric", default="euclidean",
                    choices=("euclidean", "cosine"),
                    help="pairwise distance used for the distributions")

@@ -4,7 +4,7 @@ normalized Laplacian, and first-order edge-sampling SGD with negative sampling.
 
 import math
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,11 +41,11 @@ class EmbedSpec:
 
     ``batches``, ``negatives`` and ``lr`` only apply to the SGD engine; one
     batch is one sampling pass over the edge list and the learning rate
-    decays linearly to zero across batches.
+    decays linearly to zero across batches.  The seed is not part of the
+    spec: each engine call takes it.
     """
     algorithm: str
     dim: int
-    seed: int = 0
     batches: int = 50
     negatives: int = 5
     lr: float = 0.025
@@ -71,9 +71,6 @@ class EmbedSpec:
         if extra:
             raise ValueError(f"unknown embedder config keys: {sorted(extra)}")
         return cls(**d)
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 def _sign_canonical(vecs):
@@ -386,8 +383,9 @@ def _line_updates(emb, g, edge_sampler, noise, rng, count, negatives, lr,
         _line_step(emb, src[sl], ctx[sl], negs[sl], lr, ws)
 
 
-def line1_embed(g, spec):
-    """First-order proximity embedding by edge-sampling SGD.
+def line1_embed(g, spec, seed=0):
+    """First-order proximity embedding by edge-sampling SGD, every draw
+    from ``seed``.
 
     Edges are drawn proportionally to weight (alias method); per positive
     edge, ``spec.negatives`` noise nodes are drawn from the weighted-degree
@@ -400,7 +398,7 @@ def line1_embed(g, spec):
         raise ValueError(f"spec.algorithm is {spec.algorithm!r}, expected {LINE1!r}")
     if g.m == 0:
         raise ValueError("cannot train on a graph with zero edges")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     n, dim = g.n, spec.dim
     emb = (rng.random((n, dim)) - 0.5) / dim
     edge_sampler = AliasTable(g.weights)
@@ -421,11 +419,11 @@ def line_base_loss(g, emb):
     return float(-(g.weights * logp).sum())
 
 
-def embed_graph(g, spec):
-    """Run the engine selected by ``spec.algorithm``."""
+def embed_graph(g, spec, seed=0):
+    """Run the engine selected by ``spec.algorithm`` with ``seed``."""
     if spec.algorithm == LAPLACIAN_EIGENMAPS:
-        return laplacian_eigenmaps(g, spec.dim, seed=spec.seed)
-    return line1_embed(g, spec)
+        return laplacian_eigenmaps(g, spec.dim, seed=seed)
+    return line1_embed(g, spec, seed)
 
 
 def save_embedding_csv(path, emb, orig_ids):
@@ -458,15 +456,3 @@ def save_embedding_binary(path, emb):
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     header = EMBEDDING_MAGIC + struct.pack("<QQ", emb.shape[0], emb.shape[1])
     write_atomic(path, [header, emb.tobytes(order="C")])
-
-
-def load_embedding_binary(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != EMBEDDING_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        n, dim = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if data.size != n * dim:
-        raise ValueError(f"{path}: truncated payload")
-    return data.reshape(n, dim).copy()

@@ -353,15 +353,3 @@ def subgraph_features(g, cm):
             size, float(density), float(local.mean()) if size else 0.0,
             int(t.sum()) / triples if triples > 0 else 0.0)
     return out
-
-
-def core_completeness(g, cm):
-    """Fraction of present edges among all degenerate-core node pairs."""
-    core = cm.degenerate_core
-    if len(core) < 2:
-        raise ValueError("degenerate core has fewer than 2 nodes")
-    keep = np.zeros(g.n, dtype=bool)
-    keep[core] = True
-    inside = int((keep[g.edges[:, 0]] & keep[g.edges[:, 1]]).sum()) if g.m else 0
-    pairs = len(core) * (len(core) - 1) // 2
-    return inside / pairs

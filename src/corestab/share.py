@@ -65,10 +65,10 @@ class ShareReport:
 
 
 class ShareEmbedderError(RuntimeError):
-    """Embedding failed at some shell; carries the shell and the partial report."""
+    """A shell failed; carries the shell and the partial report."""
 
     def __init__(self, k, partial, cause):
-        super().__init__(f"embedder failed at k={k}: {cause}")
+        super().__init__(f"shell k={k} failed: {cause}")
         self.k = k
         self.partial = partial
 
@@ -135,17 +135,16 @@ def run_share(g, embedder, seed=0, dataset="", metric="euclidean",
         kept = np.flatnonzero(cm.coreness >= k)
         sub = g.induced_subgraph(kept)
         shell_seed = derive_seed(seed, "shell", k)
-        emb = (embed_graph(sub, embedder.with_seed(shell_seed)) if is_spec
+        emb = (embed_graph(sub, embedder, shell_seed) if is_spec
                else embedder(sub, shell_seed, k))
         if emb.shape[0] != sub.n:
             raise ValueError(f"embedder returned {emb.shape[0]} rows for "
-                             f"{sub.n}-node subgraph at k={k}")
+                             f"{sub.n}-node subgraph")
         dist = pairwise_distribution(emb, np.searchsorted(kept, core), metric)
         # sorted, so a NaN or inf lands last
         if not np.isfinite(dist[-1]):
-            raise ValueError(f"non-finite core-pair distance at k={k}: an "
-                             "embedding row is non-finite, or all zeros "
-                             "under cosine")
+            raise ValueError("non-finite core-pair distance: an embedding "
+                             "row is non-finite, or all zeros under cosine")
         return dist
 
     report = ShareReport(dataset=dataset, seed=seed, metric=metric,

@@ -13,6 +13,7 @@ directly, never materialized.
 
 import logging
 from dataclasses import asdict, dataclass, fields
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -41,20 +42,21 @@ class TrainingDivergence(RuntimeError):
 class StableConfig:
     """Hyperparameters for a stabilized training run.
 
-    ``alpha`` scales the stability penalty; ``gamma`` and ``beta`` balance
-    the spectral base's edge-attraction and anchor terms and are ignored by
-    the SGD base.  Gradient expressions drop constant factors of 2, which
-    are absorbed into ``lr`` and ``alpha``.
+    ``alpha`` scales the stability penalty, and defaults to the base's
+    ``DEFAULT_ALPHA``; ``gamma`` and ``beta`` balance the spectral base's
+    edge-attraction and anchor terms and are ignored by the SGD base.
+    Gradient expressions drop constant factors of 2, which are absorbed into
+    ``lr`` and ``alpha``.  The seed is not part of the config: ``stable_train``
+    takes it.
     """
     base: str
     dim: int = 10
-    alpha: float = 10.0
+    alpha: Optional[float] = None
     gamma: float = 0.1
     beta: float = 0.1
     lr: float = 0.025
     batches: int = 200
     negatives: int = 5
-    seed: int = 0
 
     # paper-reported operating points per base algorithm
     DEFAULT_ALPHA = {LINE1: 10.0, LAPLACIAN_EIGENMAPS: 1e5}
@@ -62,6 +64,8 @@ class StableConfig:
     def __post_init__(self):
         if self.base not in (LINE1, LAPLACIAN_EIGENMAPS):
             raise ValueError(f"unknown base {self.base!r}")
+        if self.alpha is None:
+            self.alpha = self.DEFAULT_ALPHA[self.base]
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.lr <= 0:
@@ -76,24 +80,17 @@ class StableConfig:
             if self.beta < 0:
                 raise ValueError("beta must be >= 0")
 
-    @classmethod
-    def for_base(cls, base, **overrides):
-        overrides.setdefault("alpha", cls.DEFAULT_ALPHA.get(base, 10.0))
-        return cls(base=base, **overrides)
-
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        base = d.pop("base", None)
-        if base is None:
+        if "base" not in d:
             raise ValueError("config is missing 'base'")
         extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls.for_base(base, **d)
+        return cls(**d)
 
 
 @dataclass
@@ -104,7 +101,6 @@ class StableResult:
     base_loss: np.ndarray         # per-batch base objective
     stability_loss: np.ndarray    # per-batch penalty value
     initial: np.ndarray           # embedding before stabilized training
-    config: StableConfig
 
 
 def _clipped_sigmoid_rows(a, b):
@@ -114,8 +110,9 @@ def _clipped_sigmoid_rows(a, b):
     return expit(np.clip(dots, -_DOT_CLIP, _DOT_CLIP))
 
 
-def isolated_core_embedding(g, cm, spec):
-    """Embed the induced subgraph on the degenerate core with the base engine.
+def isolated_core_embedding(g, cm, spec, seed=0):
+    """Embed the induced subgraph on the degenerate core with the base
+    engine and ``seed``.
 
     Rows follow core-local ids; the mapping back is ``cm.degenerate_core``
     (sorted dense ids).
@@ -123,7 +120,7 @@ def isolated_core_embedding(g, cm, spec):
     core = cm.degenerate_core
     if len(core) < 2:
         raise ValueError("degenerate core has fewer than 2 nodes")
-    return embed_graph(g.induced_subgraph(core), spec)
+    return embed_graph(g.induced_subgraph(core), spec, seed)
 
 
 def stability_coefficient(u_i, u_j, s_hat):
@@ -254,8 +251,9 @@ def _le_base_loss(g, emb, init, gamma, beta):
         return gamma * edge_term + beta * float(((emb - init) ** 2).sum())
 
 
-def stable_train(g, cfg):
+def stable_train(g, cfg, seed=0):
     """Stabilized SGD: base steps on edges, penalty steps on core pairs.
+    Every random stream derives from ``seed``.
 
     Follows the generic recipe: embed the isolated core and the full graph
     with the base engine, then run ``cfg.batches`` sampling passes.  A batch
@@ -286,10 +284,9 @@ def stable_train(g, cfg):
     init_spec = EmbedSpec(cfg.base, cfg.dim,
                           batches=max(1, cfg.batches // 5),
                           negatives=cfg.negatives, lr=cfg.lr)
-    ref = isolated_core_embedding(
-        g, cm, ref_spec.with_seed(derive_seed(cfg.seed, "isolated-core")))
-    emb = np.array(embed_graph(
-        g, init_spec.with_seed(derive_seed(cfg.seed, "full-init"))))
+    ref = isolated_core_embedding(g, cm, ref_spec,
+                                  derive_seed(seed, "isolated-core"))
+    emb = np.array(embed_graph(g, init_spec, derive_seed(seed, "full-init")))
     init = emb.copy()
 
     edges, weights, m, k = g.edges, g.weights, g.m, len(core)
@@ -298,8 +295,8 @@ def stable_train(g, cfg):
     if is_line:
         edge_sampler = AliasTable(weights)
         noise = AliasTable(np.power(g.weighted_degrees, 0.75))
-    rng_draws = np.random.default_rng(derive_seed(cfg.seed, "edge-stream"))
-    rng_negs = np.random.default_rng(derive_seed(cfg.seed, "noise-stream"))
+    rng_draws = np.random.default_rng(derive_seed(seed, "edge-stream"))
+    rng_negs = np.random.default_rng(derive_seed(seed, "noise-stream"))
     ws = _SGDWorkspace(cfg.negatives, cfg.dim)
 
     base_loss = np.empty(cfg.batches)
@@ -336,4 +333,4 @@ def stable_train(g, cfg):
             raise TrainingDivergence(t, "non-finite loss or embedding")
     return StableResult(embeddings=emb, isolated_core=ref, core_nodes=core,
                         base_loss=base_loss, stability_loss=stab_loss,
-                        initial=init, config=cfg)
+                        initial=init)

@@ -17,7 +17,6 @@ class GenSpec:
     n: int
     p: Optional[float] = None          # ER edge probability
     m_attach: Optional[int] = None     # BA edges per arriving node
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in (ER, BA):
@@ -32,7 +31,7 @@ class GenSpec:
                 raise ValueError("ba model needs 1 <= m_attach < n")
 
     def to_dict(self):
-        d = {"model": self.model, "n": self.n, "seed": self.seed}
+        d = {"model": self.model, "n": self.n}
         if self.model == ER:
             d["p"] = self.p
         else:
@@ -41,7 +40,7 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: d[k] for k in ("model", "n", "p", "m_attach", "seed") if k in d}
+        known = {k: d[k] for k in ("model", "n", "p", "m_attach") if k in d}
         extra = set(d) - set(known)
         if extra:
             raise ValueError(f"unknown generator keys: {sorted(extra)}")
@@ -78,9 +77,10 @@ def _barabasi_albert(n, m_attach, rng):
     return Graph(n, np.array(edges, dtype=np.int64))
 
 
-def generate(spec):
-    """Deterministic graph for a (model, parameters, seed) specification."""
-    rng = np.random.default_rng(spec.seed)
+def generate(spec, seed=0):
+    """Deterministic graph for a (model, parameters) specification and a
+    seed."""
+    rng = np.random.default_rng(seed)
     if spec.model == ER:
         return _erdos_renyi(spec.n, spec.p, rng)
     return _barabasi_albert(spec.n, spec.m_attach, rng)

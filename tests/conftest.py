@@ -74,7 +74,7 @@ def ba_with_pendants(n_core, m_attach, pendants, seed):
     """BA(n_core, m_attach) plus ``pendants`` degree-1 nodes, each attached
     to a BA node drawn by ``np.random.default_rng(seed)``; the BA graph is
     the degenerate core and the pendants are a periphery to shave."""
-    g = generate(GenSpec("ba", n_core, m_attach=m_attach, seed=seed))
+    g = generate(GenSpec("ba", n_core, m_attach=m_attach), seed=seed)
     anchors = np.random.default_rng(seed).integers(0, n_core, size=pendants)
     leaves = np.column_stack([anchors, np.arange(n_core, n_core + pendants)])
     return Graph(n_core + pendants, np.vstack([g.edges, leaves]))
@@ -263,10 +263,10 @@ def spy_training_line_steps(monkeypatch, record):
     real_step, real_embed = embed_mod._line_step, stable_mod.embed_graph
     embedding = [False]
 
-    def embed_spy(g, spec):
+    def embed_spy(g, spec, seed):
         embedding[0] = True
         try:
-            return real_embed(g, spec)
+            return real_embed(g, spec, seed)
         finally:
             embedding[0] = False
 

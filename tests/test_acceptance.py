@@ -180,7 +180,7 @@ def pattern2_reports():
     spec = EmbedSpec("line1", 10, batches=50)
     out = {}
     # BA alone is its own degenerate core; pendants give it shells to shave
-    for label, g in (("er", generate(GenSpec("er", 5000, p=0.002, seed=7))),
+    for label, g in (("er", generate(GenSpec("er", 5000, p=0.002), seed=7)),
                      ("ba+pendants", ba_with_pendants(2000, 5, 1000, 7))):
         out[label] = []
         for s in SEEDS:
@@ -231,11 +231,11 @@ def desk_stable_runs():
     for base, params in DESK_CONFIGS.items():
         per_seed = []
         for s in SEEDS:
-            cfg = StableConfig.for_base(base, seed=s, **params)
-            result = stable_train(g, cfg)
+            cfg = StableConfig(base, **params)
+            result = stable_train(g, cfg, seed=s)
             base_emb = embed_graph(g, EmbedSpec(
-                base, params["dim"], seed=derive_seed(s, "base-arm"),
-                batches=params["batches"]))
+                base, params["dim"], batches=params["batches"]),
+                seed=derive_seed(s, "base-arm"))
             per_seed.append((result, base_emb))
         runs[base] = per_seed
     return runs
@@ -274,11 +274,10 @@ def test_criterion_6f_stable_improvement_facebook():
                              ("laplacian_eigenmaps", 20, 1e5)):
         wins = 0
         for s in SEEDS:
-            cfg = StableConfig.for_base(base, dim=dim, batches=100, seed=s,
-                                        alpha=alpha)
-            result = stable_train(g, cfg)
-            base_emb = embed_graph(g, EmbedSpec(
-                base, dim, seed=derive_seed(s, "base-arm"), batches=100))
+            cfg = StableConfig(base, dim=dim, batches=100, alpha=alpha)
+            result = stable_train(g, cfg, seed=s)
+            base_emb = embed_graph(g, EmbedSpec(base, dim, batches=100),
+                                   seed=derive_seed(s, "base-arm"))
             stable_med = np.median(stability_error_distribution(
                 result.embeddings, result.isolated_core, result.core_nodes))
             base_med = np.median(stability_error_distribution(
@@ -328,12 +327,12 @@ def test_criterion_8_link_prediction():
     f1_base, f1_stable = [], []
     for s in SEEDS:
         sp = make_split(g, 0.1, seed=s)
-        base_emb = embed_graph(sp.train, EmbedSpec(
-            "line1", 128, seed=derive_seed(s, "base"), batches=100))
+        base_emb = embed_graph(sp.train, EmbedSpec("line1", 128, batches=100),
+                               seed=derive_seed(s, "base"))
         f1_base.append(evaluate(base_emb, sp).f1)
-        cfg = StableConfig.for_base("line1", dim=128, batches=100, seed=s)
-        f1_stable.append(evaluate(stable_train(sp.train, cfg).embeddings,
-                                  sp).f1)
+        cfg = StableConfig("line1", dim=128, batches=100)
+        f1_stable.append(evaluate(stable_train(sp.train, cfg, seed=s)
+                                  .embeddings, sp).f1)
     margin = float(np.mean(f1_stable) - np.mean(f1_base))
     elapsed = time.perf_counter() - start
     report(8, le_ok and margin > 0,

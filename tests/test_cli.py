@@ -60,6 +60,16 @@ class TestKcore:
         summary = read_json(out, "kcore_summary.json")
         assert summary["degeneracy"] == 4
 
+    def test_empty_graph_completeness_null(self, tmp_path):
+        # a core of fewer than 2 nodes has no pairs, so no completeness
+        graph = tmp_path / "empty.txt"
+        graph.write_text("# no edges\n")
+        out = str(tmp_path / "out")
+        assert main(["kcore", "--graph", str(graph), "--out", out]) == 0
+        summary = read_json(out, "kcore_summary.json")
+        assert summary["degenerate_core"] == []
+        assert summary["core_completeness"] is None
+
     def test_missing_graph_exit_2(self, tmp_path):
         assert main(["kcore", "--graph", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -128,6 +138,7 @@ class TestShare:
                          "--seed", "5", "--out", out]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
         report = read_json(out_a, "share_report.json")
+        assert report["seed"] == 5 and "seed" not in report["embedder"]
         assert report["records"][0]["k"] == 0
         assert report["records"][0]["emd"] == 0.0
         assert os.path.exists(os.path.join(out_a, "distributions", "k0.csv"))
@@ -241,8 +252,9 @@ class TestShare:
             code = main(["share", "--graph", graph, "--external-embeddings",
                          str(ext), "--metric", "cosine", "--out", out])
         assert code == 4
-        assert any("k=4" in r.getMessage() and "non-finite" in r.getMessage()
-                   for r in caplog.records)
+        failed = [r.getMessage() for r in caplog.records
+                  if "non-finite" in r.getMessage()]
+        assert len(failed) == 1 and failed[0].count("k=4") == 1
 
         def reject(name):
             raise ValueError(f"{name} is not valid JSON")
@@ -266,7 +278,7 @@ class TestShare:
                          str(ext), "--out", str(tmp_path / "o")])
         assert code == 4
         failed = [r.getMessage() for r in caplog.records
-                  if "embedder failed at k=1" in r.getMessage()]
+                  if "shell k=1 failed" in r.getMessage()]
         assert failed and "embeddings_k1.csv" in failed[0]
 
 
@@ -375,6 +387,42 @@ class TestStable:
             assert main(["stable", "--graph", graph, "--config", cfg,
                          "--seed", "9", "--out", out]) == 0
         assert read_outputs(out_a) == read_outputs(out_b)
+
+    def test_seed_option_selects_the_run(self, tmp_path):
+        from corestab.synth import desk_graph
+        g = desk_graph()
+        graph = write_graph(tmp_path, "desk.txt",
+                            [tuple(e) for e in g.edges.tolist()])
+        cfg = write_json(tmp_path, "cfg.json",
+                         {"base": "line1", "dim": 3, "batches": 6})
+        outs = {seed: str(tmp_path / seed) for seed in ("5", "9")}
+        for seed, out in outs.items():
+            assert main(["stable", "--graph", graph, "--config", cfg,
+                         "--seed", seed, "--out", out]) == 0
+        assert read_text(outs["5"], "embeddings.csv") != \
+            read_text(outs["9"], "embeddings.csv")
+        echo = read_json(outs["5"], "config.json")
+        assert "seed" not in echo and echo == read_json(outs["9"],
+                                                        "config.json")
+        assert read_json(outs["9"], "manifest.json")["seed"] == 9
+
+
+@pytest.mark.parametrize("command,flag,config", [
+    ("share", "--embedder", {"algorithm": "line1", "dim": 2, "seed": 1}),
+    ("stable", "--config", {"base": "line1", "seed": 1}),
+    ("generate", "--spec", {"model": "er", "n": 10, "p": 0.5, "seed": 1}),
+])
+def test_seed_key_in_config_file_exit_2(tmp_path, caplog, command, flag,
+                                        config):
+    # the seed comes from --seed alone; in a file it is an unknown key
+    argv = [command, flag, write_json(tmp_path, "cfg.json", config),
+            "--seed", "5", "--out", str(tmp_path / "o")]
+    if command != "generate":
+        argv += ["--graph", write_graph(tmp_path, "tri.txt", TRIANGLE)]
+    with caplog.at_level("ERROR"):
+        assert main(argv) == 2
+    assert any("unknown" in r.getMessage() and "'seed'" in r.getMessage()
+               for r in caplog.records)
 
 
 class TestLinkpred:
@@ -538,11 +586,22 @@ class TestGenerate:
         assert read_outputs(out_a) == read_outputs(out_b)
         prov = read_json(out_a, "provenance.json")
         assert prov["spec"]["model"] == "er"
-        assert prov["spec"]["seed"] == 4
+        assert prov["seed"] == 4 and "seed" not in prov["spec"]
+
+    def test_seed_option_selects_the_graph(self, tmp_path):
+        spec = write_json(tmp_path, "spec.json",
+                          {"model": "er", "n": 50, "p": 0.1})
+        edges = []
+        for seed in ("5", "9"):
+            out = str(tmp_path / seed)
+            assert main(["generate", "--spec", spec, "--seed", seed,
+                         "--out", out]) == 0
+            edges.append(read_text(out, "edges.txt"))
+        assert edges[0] != edges[1]
 
     def test_ba_edge_count(self, tmp_path):
         spec = write_json(tmp_path, "spec.json",
-                          {"model": "ba", "n": 40, "m_attach": 3, "seed": 0})
+                          {"model": "ba", "n": 40, "m_attach": 3})
         out = str(tmp_path / "out")
         assert main(["generate", "--spec", spec, "--out", out]) == 0
         lines = read_text(out, "edges.txt").splitlines()

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from corestab.embed import (_CHUNK, AliasTable, EigensolverError, EmbedSpec,
                             _line_step, _SGDWorkspace, apply_coefficients,
                             laplacian_eigenmaps, line1_embed,
                             line_negative_coefficient,
-                            line_positive_coefficient, load_embedding_binary,
-                            load_embedding_csv, save_embedding_binary,
-                            save_embedding_csv)
+                            line_positive_coefficient, load_embedding_csv,
+                            save_embedding_binary, save_embedding_csv)
 from corestab.graph import Graph
 from corestab.stable import _le_step
 
@@ -416,13 +416,13 @@ def two_cliques_bridged(size=5):
 class TestLine1:
     def test_single_edge_attracts(self):
         g = Graph(2, [[0, 1]])
-        emb = line1_embed(g, EmbedSpec("line1", 2, seed=0, batches=3000))
+        emb = line1_embed(g, EmbedSpec("line1", 2, batches=3000), seed=0)
         assert sigmoid_proximity(emb[0], emb[1]) >= 0.9
 
     def test_deterministic(self, karate):
-        spec = EmbedSpec("line1", 4, seed=9, batches=10)
-        a = line1_embed(karate, spec)
-        b = line1_embed(karate, spec)
+        spec = EmbedSpec("line1", 4, batches=10)
+        a = line1_embed(karate, spec, seed=9)
+        b = line1_embed(karate, spec, seed=9)
         assert np.array_equal(a, b)
 
     def test_zero_edge_graph_rejected(self):
@@ -433,7 +433,7 @@ class TestLine1:
         g = two_cliques_bridged()
         intra_means, inter_means = [], []
         for seed in range(10):
-            emb = line1_embed(g, EmbedSpec("line1", 2, seed=seed, batches=150))
+            emb = line1_embed(g, EmbedSpec("line1", 2, batches=150), seed=seed)
             intra, inter = [], []
             for i in range(10):
                 for j in range(i + 1, 10):
@@ -446,8 +446,8 @@ class TestLine1:
 
     def test_isolated_node_keeps_init(self):
         g = Graph(3, [[0, 1]])
-        spec = EmbedSpec("line1", 2, seed=4, batches=20)
-        emb = line1_embed(g, spec)
+        spec = EmbedSpec("line1", 2, batches=20)
+        emb = line1_embed(g, spec, seed=4)
         rng = np.random.default_rng(4)
         init = (rng.random((3, 2)) - 0.5) / 2
         assert np.array_equal(emb[2], init[2])
@@ -688,8 +688,8 @@ class TestAliasTable:
 
 class TestEmbedSpecDict:
     def test_roundtrip_and_keys(self):
-        spec = EmbedSpec("line1", 7, seed=3, batches=9, negatives=2, lr=0.5)
-        assert spec.to_dict() == {"algorithm": "line1", "dim": 7, "seed": 3,
+        spec = EmbedSpec("line1", 7, batches=9, negatives=2, lr=0.5)
+        assert spec.to_dict() == {"algorithm": "line1", "dim": 7,
                                   "batches": 9, "negatives": 2, "lr": 0.5}
         assert EmbedSpec.from_dict(spec.to_dict()) == spec
         assert EmbedSpec.from_dict({"algorithm": "line1", "dim": 2}) == \
@@ -699,6 +699,10 @@ class TestEmbedSpecDict:
         with pytest.raises(ValueError,
                            match=r"unknown embedder config keys: \['zz'\]"):
             EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "zz": 1})
+        # the seed is an argument of the engine call, not a spec field
+        with pytest.raises(ValueError,
+                           match=r"unknown embedder config keys: \['seed'\]"):
+            EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "seed": 1})
 
 
 class TestEmbeddingIO:
@@ -715,11 +719,8 @@ class TestEmbeddingIO:
         emb = np.random.default_rng(4).normal(size=(6, 2))
         path = tmp_path / "emb.bin"
         save_embedding_binary(path, emb)
-        got = load_embedding_binary(path)
+        blob = path.read_bytes()
+        assert blob[:8] == b"CRSTEMB1"
+        assert struct.unpack("<QQ", blob[8:24]) == (6, 2)
+        got = np.frombuffer(blob[24:], dtype="<f8").reshape(6, 2)
         assert np.array_equal(got, emb)
-
-    def test_binary_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_embedding_binary(path)

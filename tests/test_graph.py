@@ -3,9 +3,8 @@ import pytest
 
 import corestab.graph as graph_mod
 from corestab.embed import EmbedSpec, laplacian_eigenmaps, line1_embed
-from corestab.graph import (Graph, GraphParseError, core_completeness,
-                            core_decomposition, load_edge_list,
-                            subgraph_features)
+from corestab.graph import (Graph, GraphParseError, core_decomposition,
+                            load_edge_list, subgraph_features)
 from corestab.share import run_share
 from corestab.stable import StableConfig, stable_train
 
@@ -275,7 +274,7 @@ ENGINE_ENTRIES = {
     "laplacian_eigenmaps": lambda g: laplacian_eigenmaps(g, 1),
     "line1_embed": lambda g: line1_embed(g, EmbedSpec("line1", 2, batches=1)),
     "stable_train": lambda g: stable_train(
-        g, StableConfig.for_base("line1", dim=2, batches=1)),
+        g, StableConfig("line1", dim=2, batches=1)),
     "run_share": lambda g: run_share(g, EmbedSpec("line1", 2, batches=1)),
 }
 
@@ -474,7 +473,7 @@ class TestKCoreSubgraph:
         import tracemalloc
         from corestab.synth import GenSpec, generate
         # about 8 M wedges: listed at once they take over 100 MiB
-        g = generate(GenSpec("er", 400, p=0.5, seed=1))
+        g = generate(GenSpec("er", 400, p=0.5), seed=1)
         cm = core_decomposition(g)
         tracemalloc.start()
         try:
@@ -588,22 +587,27 @@ class TestFeaturesOracle:
 
 
 class TestCoreCompleteness:
+    """``kcore`` reports the degenerate core's edge density from
+    ``subgraph_features`` as its core completeness."""
+
+    @staticmethod
+    def completeness(g):
+        cm = core_decomposition(g)
+        return subgraph_features(g, cm)[cm.k_max].edge_density
+
     def test_clique_is_one(self):
-        g = complete_graph(6)
-        assert core_completeness(g, core_decomposition(g)) == 1.0
+        assert self.completeness(complete_graph(6)) == 1.0
 
     def test_karate_range(self, karate):
-        c = core_completeness(karate, core_decomposition(karate))
-        assert 0.0 < c <= 1.0
+        assert 0.0 < self.completeness(karate) <= 1.0
 
-    def test_small_core_rejected(self):
-        g = Graph(2, [[0, 1]])
-        cm = core_decomposition(g)
-        assert len(cm.degenerate_core) == 2
-        core_completeness(g, cm)  # fine with exactly 2
-        lone = Graph(1, [])
-        with pytest.raises(ValueError):
-            core_completeness(lone, core_decomposition(lone))
+    def test_present_pairs_over_all_pairs(self):
+        # the fraction of core pairs that are edges, to the last bit
+        for g in (Graph(2, [[0, 1]]), *oracle_graphs()):
+            core = core_decomposition(g).degenerate_core
+            inside = int(np.isin(g.edges, core).all(axis=1).sum())
+            pairs = len(core) * (len(core) - 1) // 2
+            assert self.completeness(g) == inside / pairs
 
 
 def oracle_graphs():
@@ -621,8 +625,8 @@ def oracle_graphs():
         elif kind == 1:
             g = random_er(rng, n, float(rng.uniform(0.005, 0.04)))
         elif kind == 2:
-            g = generate(GenSpec("ba", n, m_attach=int(rng.integers(1, 6)),
-                                 seed=int(rng.integers(1 << 30))))
+            g = generate(GenSpec("ba", n, m_attach=int(rng.integers(1, 6))),
+                         seed=int(rng.integers(1 << 30)))
         else:
             a = random_er(rng, n, 0.2)
             b = random_er(rng, n // 2, 0.5)

@@ -135,8 +135,8 @@ class TestStabilityGradient:
             return real(u_i, u_j, s_hat)
 
         monkeypatch.setattr(stable_mod, "stability_coefficient", spy)
-        stable_train(desk_graph(), StableConfig.for_base(
-            "line1", dim=3, batches=2, seed=0))
+        stable_train(desk_graph(), StableConfig("line1", dim=3, batches=2),
+                     seed=0)
         assert len(calls) > 1
 
 
@@ -217,15 +217,15 @@ class TestIsolatedCoreEmbedding:
         g = Graph(2, [[0, 1]])
         cm = core_decomposition(g)
         emb = isolated_core_embedding(
-            g, cm, EmbedSpec("line1", 2, seed=0, batches=3000))
+            g, cm, EmbedSpec("line1", 2, batches=3000), seed=0)
         assert sigmoid_proximity(emb[0], emb[1]) >= 0.9
 
     def test_core_equals_whole_graph(self):
         g = complete_graph(6)
         cm = core_decomposition(g)
-        spec = EmbedSpec("line1", 3, seed=8, batches=20)
-        assert np.array_equal(isolated_core_embedding(g, cm, spec),
-                              embed_graph(g, spec))
+        spec = EmbedSpec("line1", 3, batches=20)
+        assert np.array_equal(isolated_core_embedding(g, cm, spec, seed=8),
+                              embed_graph(g, spec, seed=8))
 
     def test_small_core_rejected(self):
         g = Graph(1, [])
@@ -236,8 +236,11 @@ class TestIsolatedCoreEmbedding:
 
 class TestStableConfig:
     def test_base_specific_alpha_defaults(self):
-        assert StableConfig.for_base("line1").alpha == 10.0
-        assert StableConfig.for_base("laplacian_eigenmaps").alpha == 1e5
+        # one default whichever way the config is built
+        for base, alpha in (("line1", 10.0), ("laplacian_eigenmaps", 1e5)):
+            assert StableConfig(base).alpha == alpha
+            assert StableConfig.from_dict({"base": base}).alpha == alpha
+        assert StableConfig("line1", alpha=0.5).alpha == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -259,26 +262,25 @@ class TestStableConfig:
         assert cfg.to_dict() == {
             "base": "laplacian_eigenmaps", "dim": 3, "alpha": 1e5,
             "gamma": 0.1, "beta": 0.1, "lr": 0.025, "batches": 200,
-            "negatives": 5, "seed": 0}
+            "negatives": 5}
         assert StableConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestStableTrain:
     def test_loss_trace_shape_and_determinism(self):
         g = desk_graph()
-        cfg = StableConfig.for_base("line1", dim=3, batches=25, seed=2)
-        a = stable_train(g, cfg)
-        b = stable_train(g, cfg)
+        cfg = StableConfig("line1", dim=3, batches=25)
+        a = stable_train(g, cfg, seed=2)
+        b = stable_train(g, cfg, seed=2)
         assert a.base_loss.shape == (25,) and a.stability_loss.shape == (25,)
         assert np.isfinite(a.base_loss).all()
         assert np.array_equal(a.embeddings, b.embeddings)
 
     def test_alpha_zero_warns_and_trains(self, caplog):
         g = desk_graph()
-        cfg = StableConfig.for_base("line1", dim=3, batches=10, seed=1,
-                                    alpha=0.0)
+        cfg = StableConfig("line1", dim=3, batches=10, alpha=0.0)
         with caplog.at_level("WARNING"):
-            result = stable_train(g, cfg)
+            result = stable_train(g, cfg, seed=1)
         assert any("alpha=0" in r.message for r in caplog.records)
         assert np.isfinite(result.embeddings).all()
 
@@ -295,8 +297,7 @@ class TestStableTrain:
         pairs = []
         spy_training_line_steps(monkeypatch, lambda src, ctx: pairs.extend(
             zip(src.tolist(), ctx.tolist())))
-        stable_train(g, StableConfig.for_base("line1", dim=3, batches=12,
-                                              seed=7))
+        stable_train(g, StableConfig("line1", dim=3, batches=12), seed=7)
         assert pairs
         assert all((min(p), max(p)) in positive for p in pairs)
 
@@ -312,8 +313,7 @@ class TestStableTrain:
         pairs = []
         spy_training_line_steps(monkeypatch, lambda src, ctx: pairs.extend(
             zip(src.tolist(), ctx.tolist())))
-        stable_train(g, StableConfig.for_base("line1", dim=3, batches=200,
-                                              seed=1))
+        stable_train(g, StableConfig("line1", dim=3, batches=200), seed=1)
         share = np.mean([(min(p), max(p)) in heavy for p in pairs])
         want = weights[::2].sum() / weights.sum()
         assert len(pairs) >= 100 * g.m
@@ -350,8 +350,8 @@ class TestStableTrain:
         spy_training_line_steps(monkeypatch, step_spy)
         monkeypatch.setattr(stable_mod, "apply_coefficients", apply_spy)
         monkeypatch.setattr(stable_mod, "line_base_loss", loss_spy)
-        stable_train(g, StableConfig.for_base("line1", dim=3,
-                                              batches=batches, seed=4))
+        stable_train(g, StableConfig("line1", dim=3, batches=batches),
+                     seed=4)
         assert per_batch == [g.m + n_pairs] * batches
         assert len(pairs) >= 20_000
         assert all(i != j and i < k and j < k for i, j in pairs)
@@ -364,10 +364,10 @@ class TestStableTrain:
         # a 2 000-node core has 1 999 000 pairs; holding them as zero-weight
         # edges and per-edge arrays peaks at about 235 MiB
         g = ba_with_pendants(2000, 3, 200, 3)
-        cfg = StableConfig.for_base("line1", dim=4, batches=1, seed=0)
+        cfg = StableConfig("line1", dim=4, batches=1)
         tracemalloc.start()
         try:
-            stable_train(g, cfg)
+            stable_train(g, cfg, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,18 +375,16 @@ class TestStableTrain:
 
     def test_high_alpha_pins_clique_proximities(self):
         g = complete_graph(10)
-        cfg = StableConfig.for_base("line1", dim=4, batches=500, seed=3,
-                                    alpha=100.0)
-        result = stable_train(g, cfg)
+        cfg = StableConfig("line1", dim=4, batches=500, alpha=100.0)
+        result = stable_train(g, cfg, seed=3)
         assert result.stability_loss[-1] <= 1e-3 * 45
 
     @pytest.mark.parametrize("base,alpha", [("line1", 10.0),
                                             ("laplacian_eigenmaps", 100.0)])
     def test_desk_graph_penalty_improves(self, base, alpha):
         g = desk_graph()
-        cfg = StableConfig.for_base(base, dim=4, batches=200, seed=5,
-                                    alpha=alpha)
-        result = stable_train(g, cfg)
+        cfg = StableConfig(base, dim=4, batches=200, alpha=alpha)
+        result = stable_train(g, cfg, seed=5)
         before = instability_penalty(result.initial, result.isolated_core,
                                      result.core_nodes)
         after = instability_penalty(result.embeddings, result.isolated_core,
@@ -395,28 +393,27 @@ class TestStableTrain:
 
     def test_divergence_aborts_with_batch_index(self):
         g = desk_graph()
-        cfg = StableConfig.for_base("laplacian_eigenmaps", dim=3, batches=50,
-                                    seed=1, lr=1e9, alpha=1e9)
+        cfg = StableConfig("laplacian_eigenmaps", dim=3, batches=50, lr=1e9,
+                           alpha=1e9)
         with pytest.raises(TrainingDivergence) as info:
-            stable_train(g, cfg)
+            stable_train(g, cfg, seed=1)
         assert 0 <= info.value.batch < 50
 
     def test_core_too_small(self):
         g = Graph(1, [])
         with pytest.raises(ValueError):
-            stable_train(g, StableConfig.for_base("line1"))
+            stable_train(g, StableConfig("line1"))
 
     def test_linear_scaling_in_batches_times_edges(self):
         from corestab.synth import GenSpec, generate
-        g = generate(GenSpec("er", 300, p=0.03, seed=5))
+        g = generate(GenSpec("er", 300, p=0.03), seed=5)
 
         def run(batches):
-            cfg = StableConfig.for_base("line1", dim=8, batches=batches,
-                                        seed=0)
+            cfg = StableConfig("line1", dim=8, batches=batches)
             best = np.inf
             for _ in range(2):
                 t0 = time.process_time()
-                stable_train(g, cfg)
+                stable_train(g, cfg, seed=0)
                 best = min(best, time.process_time() - t0)
             return best
 

@@ -22,29 +22,33 @@ class TestGenSpec:
             GenSpec("bter", 100, p=0.5)
 
     def test_roundtrip(self):
-        spec = GenSpec("er", 10, p=0.3, seed=4)
+        spec = GenSpec("er", 10, p=0.3)
         assert GenSpec.from_dict(spec.to_dict()) == spec
+        # the seed is an argument of generate, not a spec field
+        with pytest.raises(ValueError, match=r"\['seed'\]"):
+            GenSpec.from_dict({**spec.to_dict(), "seed": 4})
 
 
 class TestErdosRenyi:
     def test_edge_count_within_3_sigma(self):
         n, p = 5000, 0.002
-        g = generate(GenSpec("er", n, p=p, seed=0))
+        g = generate(GenSpec("er", n, p=p), seed=0)
         pairs = n * (n - 1) / 2
         mean = pairs * p
         sigma = np.sqrt(pairs * p * (1 - p))
         assert abs(g.m - mean) <= 3 * sigma
 
     def test_deterministic(self):
-        spec = GenSpec("er", 200, p=0.05, seed=9)
-        assert np.array_equal(generate(spec).edges, generate(spec).edges)
+        spec = GenSpec("er", 200, p=0.05)
+        assert np.array_equal(generate(spec, seed=9).edges,
+                              generate(spec, seed=9).edges)
 
     def test_degree_distribution_chi2(self):
         # goodness of fit against Binomial(n-1, p) at alpha=0.01, 5 seeds
         n, p = 800, 0.02
         probs = binom.pmf(np.arange(n), n - 1, p)
         for seed in range(5):
-            g = generate(GenSpec("er", n, p=p, seed=seed))
+            g = generate(GenSpec("er", n, p=p), seed=seed)
             degrees = g.degrees
             counts = np.bincount(degrees, minlength=n)
             # merge bins so every expected count is >= 5
@@ -65,27 +69,28 @@ class TestErdosRenyi:
             assert pvalue > 0.01, f"seed {seed}: chi2 p={pvalue}"
 
     def test_p_zero_and_one(self):
-        assert generate(GenSpec("er", 10, p=0.0, seed=0)).m == 0
-        assert generate(GenSpec("er", 10, p=1.0, seed=0)).m == 45
+        assert generate(GenSpec("er", 10, p=0.0), seed=0).m == 0
+        assert generate(GenSpec("er", 10, p=1.0), seed=0).m == 45
 
 
 class TestBarabasiAlbert:
     def test_exact_edge_count(self):
-        g = generate(GenSpec("ba", 5000, m_attach=5, seed=0))
+        g = generate(GenSpec("ba", 5000, m_attach=5), seed=0)
         assert g.m == 5 * (5000 - 5)
 
     def test_degeneracy_equals_attachment(self):
         for seed in range(3):
             for m in (2, 5):
-                g = generate(GenSpec("ba", 400, m_attach=m, seed=seed))
+                g = generate(GenSpec("ba", 400, m_attach=m), seed=seed)
                 assert core_decomposition(g).k_max == m
 
     def test_deterministic(self):
-        spec = GenSpec("ba", 300, m_attach=3, seed=11)
-        assert np.array_equal(generate(spec).edges, generate(spec).edges)
+        spec = GenSpec("ba", 300, m_attach=3)
+        assert np.array_equal(generate(spec, seed=11).edges,
+                              generate(spec, seed=11).edges)
 
     def test_min_degree_at_least_m(self):
-        g = generate(GenSpec("ba", 500, m_attach=4, seed=2))
+        g = generate(GenSpec("ba", 500, m_attach=4), seed=2)
         arrivals = g.degrees[4:]
         assert (arrivals >= 4).all()
 

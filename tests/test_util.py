@@ -35,6 +35,23 @@ class TestWriteCsv:
         write_csv(path, ["x"], [values])
         assert path.read_text() == "x\n0.1\n1e+16\n-2.0\n"
 
+    def test_every_cell_by_str(self, tmp_path):
+        # a Python float and a numpy float64 both print as repr(float(x)),
+        # in a list or an array, at every magnitude and special value
+        rng = np.random.default_rng(1)
+        values = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+             np.finfo(np.float64).max],
+            rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 31, 1000)])
+        py = values.tolist()
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["py", "np", "arr", "int", "blank"],
+                  [py, list(values), values, list(range(len(py))),
+                   ["" if i % 2 else x for i, x in enumerate(py)]])
+        assert path.read_text() == "py,np,arr,int,blank\n" + "".join(
+            f"{r},{r},{r},{i},{'' if i % 2 else r}\n"
+            for i, r in enumerate(map(repr, py)))
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "fits.csv"
         write_csv(path, ["algorithm", "dim"], [[], []])
