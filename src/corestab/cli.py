@@ -97,8 +97,12 @@ def cmd_kcore(args):
 
 
 def _load_embedding_rows(path, orig_ids):
-    """Rows of the embedding CSV at ``path`` in ``orig_ids`` order."""
+    """Rows of the embedding CSV at ``path`` in ``orig_ids`` order; a file
+    with a non-finite row is refused."""
     ids, emb = load_embedding_csv(path)
+    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite row for node id {ids[bad[0]]}")
     lookup = {int(i): r for r, i in enumerate(ids)}
     try:
         return emb[[lookup[int(o)] for o in orig_ids]]

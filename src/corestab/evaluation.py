@@ -4,7 +4,9 @@ The split withholds a fraction of edges as positives (never isolating a
 train node) and samples an equal number of true non-edges as negatives.
 Scoring is cosine similarity; the decision threshold admits exactly as many
 positive predictions as there are true positives, under which precision,
-recall and F1 coincide.
+recall and F1 coincide.  Pairs tied at the threshold share its remaining
+slots at random, and F1 counts them by expectation: a constant embedding
+scores F1 = 0.5, as it scores AUC = 0.5.
 """
 
 from dataclasses import dataclass
@@ -120,24 +122,29 @@ def rank_auc(pos_scores, neg_scores):
 def evaluate(emb, split):
     """F1 (threshold set to the true positive count) and rank-based AUC.
 
-    Ties at the threshold break by deterministic pair order (positives
-    first, then negatives, each in split order); tied scores contribute 0.5
-    to the AUC.  Under this threshold rule precision, recall and F1
-    coincide.
+    The threshold is the p-th highest score, for p positives.  Pairs above
+    it are predicted; the slots left go to the pairs tied at it, so each
+    tied positive counts slots / (pairs tied), its chance of a slot under a
+    random tie break.  Tied scores contribute 0.5 to the AUC.  Under this
+    threshold rule precision, recall and F1 coincide.  A non-finite
+    embedding is refused.
     """
     p = len(split.positives)
     if p == 0:
         raise ValueError("empty test set")
+    if not np.isfinite(emb).all():
+        raise ValueError("non-finite embedding")
     pos_scores = score_pairs(emb, split.positives)
     neg_scores = score_pairs(emb, split.negatives)
     scores = np.concatenate([pos_scores, neg_scores])
-    order = np.argsort(-scores, kind="stable")
-    predicted = order[:p]
-    threshold = float(scores[order[p - 1]])
-    tp = int((predicted < p).sum())
-    f1 = tp / p
+    threshold = float(np.partition(scores, len(scores) - p)[len(scores) - p])
+    above = scores > threshold
+    tied = scores == threshold
+    slots = p - int(above.sum())
+    tp = (int(above[:p].sum())
+          + slots * int(tied[:p].sum()) / int(tied.sum()))
     auc = rank_auc(pos_scores, neg_scores)
-    return EvalScores(f1=float(f1), auc=auc, threshold=threshold)
+    return EvalScores(f1=float(tp / p), auc=auc, threshold=threshold)
 
 
 def stability_error_distribution(emb, isolated_core, core):

@@ -86,17 +86,20 @@ def pairwise_distribution(emb, core, metric="euclidean"):
 
 
 def emd_1d(a, b):
-    """Exact 1-d earth mover's distance between two empirical distributions.
+    """Exact 1-d earth mover's distance between two empirical distributions,
+    each given as an ascending sample (ValueError otherwise).
 
     For samples of equal size it is the mean gap between matching order
     statistics, mean|a_(i) - b_(i)|; otherwise it integrates |F_a - F_b|
-    over the merged breakpoints of the two sorted samples.  Symmetric and
+    over the merged breakpoints of the two samples.  Symmetric and
     nonnegative, zero iff the multisets are equal.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty distribution")
+    if (a[1:] < a[:-1]).any() or (b[1:] < b[:-1]).any():
+        raise ValueError("emd_1d needs samples sorted in ascending order")
     if len(a) == len(b):
         return float(np.mean(np.abs(a - b)))
     grid = np.sort(np.concatenate([a, b]))

@@ -12,7 +12,8 @@ from corestab.cli import main
 from corestab.embed import save_embedding_csv
 
 from conftest import (KARATE_EDGES, ba_with_pendants, complete_graph,
-                      kcore_features_oracle, read_json, read_text)
+                      kcore_features_oracle, read_json, read_text,
+                      write_csv_oracle)
 
 
 def write_graph(tmp_path, name, edges):
@@ -267,6 +268,20 @@ class TestShare:
         written = sorted(os.listdir(os.path.join(out, "distributions")))
         assert written == ["k0.csv", "k1.csv"]
 
+    def test_external_inf_row_partial_exit_4(self, tmp_path, caplog):
+        graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        emb = np.ones((4, 2))
+        save_embedding_csv(ext / "embeddings_k0.csv", emb, [0, 1, 2, 3])
+        emb[2, 1] = np.inf
+        save_embedding_csv(ext / "embeddings_k1.csv", emb, [0, 1, 2, 3])
+        with caplog.at_level("ERROR"):
+            code = main(["share", "--graph", graph, "--external-embeddings",
+                         str(ext), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "embeddings_k1.csv: non-finite row for node id 2" in caplog.text
+
     def test_external_missing_file_logs_cause(self, tmp_path, caplog):
         graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
         ext = tmp_path / "ext"
@@ -425,6 +440,29 @@ def test_seed_key_in_config_file_exit_2(tmp_path, caplog, command, flag,
                for r in caplog.records)
 
 
+@pytest.mark.parametrize("command,flag,config", [
+    ("share", "--embedder", {"algorithm": "line1", "dim": 4, "batches": 3}),
+    ("stable", "--config", {"base": "line1", "dim": 4, "batches": 3})])
+def test_outputs_match_oracle_writer(tmp_path, monkeypatch, command, flag,
+                                     config):
+    # a 200-node core: 19 900 core pairs, more than one piece of write_csv
+    g = ba_with_pendants(200, 3, 60, seed=4)
+    graph = write_graph(tmp_path, "g.txt", g.edges.tolist())
+    cfg = write_json(tmp_path, "cfg.json", config)
+    argv = [command, "--graph", graph, flag, cfg, "--seed", "2", "--out"]
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(argv + [out_a]) == 0
+    monkeypatch.setattr("corestab.cli.write_csv", write_csv_oracle)
+    monkeypatch.setattr("corestab.embed.write_csv", write_csv_oracle)
+    assert main(argv + [out_b]) == 0
+    written = read_outputs(out_a)
+    assert written == read_outputs(out_b)
+    csvs = [name for name in written if name.endswith(".csv")]
+    assert len(csvs) >= 4
+    rows = max(written[name].count(b"\n") for name in csvs)
+    assert rows > 16384
+
+
 class TestLinkpred:
     def test_planted_perfect_scores(self, tmp_path):
         # two disjoint cliques: every edge is intra-cluster, every non-edge
@@ -478,6 +516,19 @@ class TestLinkpred:
                          "--embeddings", emb_path,
                          "--out", str(tmp_path / "o")]) == 2
         assert f"{emb_path}: missing node id 34" in caplog.text
+
+
+    def test_inf_row_exit_2(self, tmp_path, karate_file, caplog):
+        emb = np.ones((34, 2))
+        emb[4, 0] = -np.inf
+        emb_path = str(tmp_path / "emb.csv")
+        save_embedding_csv(emb_path, emb, range(1, 35))
+        assert "-inf" in read_text(emb_path)
+        with caplog.at_level("ERROR"):
+            assert main(["linkpred", "--graph", karate_file,
+                         "--embeddings", emb_path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"{emb_path}: non-finite row for node id 5" in caplog.text
 
 
 class TestRegress:

@@ -153,6 +153,37 @@ class TestEvaluate:
         b = evaluate(emb, split)
         assert a == b
 
+    def test_constant_embedding_scores_half(self):
+        # every pair ties, so the threshold's p slots go to 2p pairs at
+        # random: F1 is 0.5 in expectation, in line with the AUC
+        split = self._planted_split(6)
+        scores = evaluate(np.ones((12, 3)), split)
+        assert scores.f1 == 0.5
+        assert scores.auc == 0.5
+        assert scores.threshold == pytest.approx(1.0)
+
+    def test_tie_at_threshold_counts_by_expectation(self):
+        # one positive and one negative tie for the last of 2 slots; the
+        # other positive is above the threshold and counts in full
+        from corestab.evaluation import LinkPredSplit
+        emb = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                        [1.0, 0.0], [-1.0, 0.0]])
+        split = LinkPredSplit(train=Graph(6, [[0, 1]]),
+                              positives=np.array([[0, 1], [2, 3]]),
+                              negatives=np.array([[2, 4], [4, 5]]),
+                              seed=0, fraction=0.1)
+        scores = evaluate(emb, split)
+        assert scores.threshold == pytest.approx(np.sqrt(0.5))
+        assert scores.f1 == pytest.approx(0.75)
+        assert scores.auc == pytest.approx(0.875)
+
+    def test_non_finite_embedding_rejected(self):
+        split = self._planted_split(2)
+        emb = np.ones((4, 2))
+        emb[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(emb, split)
+
     def test_empty_test_set(self):
         from corestab.evaluation import LinkPredSplit
         split = LinkPredSplit(train=Graph(2, [[0, 1]]),

@@ -5,8 +5,105 @@ import pytest
 
 from corestab._util import _PIECE_ROWS, write_atomic, write_csv
 
+from conftest import read_text, write_csv_oracle
+
+
+def assert_floats_as_repr(tmp_path, values):
+    """A float64 column written by write_csv reads as repr of each value."""
+    values = np.asarray(values, dtype=np.float64)
+    path = tmp_path / "x.csv"
+    write_csv(path, ["x"], [values])
+    got = read_text(path).split("\n")[1:-1]
+    want = list(map(repr, values.tolist()))
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+class TestFloatKernel:
+    def test_random_bit_patterns(self, tmp_path):
+        # every float64 class: normal, subnormal, zero, inf and NaN
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2 ** 64, size=1 << 20, dtype=np.uint64)
+        bits[:4096] &= np.uint64((1 << 52) - 1 | 1 << 63)  # subnormals
+        assert_floats_as_repr(tmp_path, bits.view(np.float64))
+
+    def test_around_powers_of_ten(self, tmp_path):
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        near = [tens]
+        for direction in (0.0, np.inf):
+            step = tens
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        values = np.concatenate(near)
+        assert_floats_as_repr(tmp_path, np.concatenate([
+            values, -values, 9.5 * tens, 0.999999999999999 * tens,
+            9.999999999999999 * tens]))
+
+    def test_exact_ties(self, tmp_path):
+        # odd multiples of 1/4 in [2**50, 2**51) and of 1/8 in
+        # [2**49, 1e15) end in a 5 at their 18th digit: halfway between
+        # two 17-digit decimals, which repr breaks to the even digit
+        rng = np.random.default_rng(5)
+        quarters = (2 * rng.integers(2 ** 51, 2 ** 52, 20000) + 1) / 4.0
+        eighths = (2 * rng.integers(2 ** 51, 4 * 10 ** 15, 20000) + 1) / 8.0
+        assert_floats_as_repr(tmp_path, np.concatenate([quarters, eighths]))
+
+    def test_powers_of_two(self, tmp_path):
+        powers = 2.0 ** np.arange(-1074, 1024)
+        assert_floats_as_repr(tmp_path, np.concatenate([powers, -powers]))
+
+    def test_special_values_and_form_thresholds(self, tmp_path):
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-5, 0.0001,
+                  0.00011, 9.9999e-05, 1e16, 9999999999999998.0,
+                  1.2345e16, 123.0, 0.1, 0.3, 5e-324, 1.7976931348623157e308,
+                  2.2250738585072014e-308, 1e-280, 1e280, 1e-281, 1e281]
+        assert_floats_as_repr(tmp_path, values)
+        path = tmp_path / "forms.csv"
+        write_csv(path, ["x"], [np.array([1e-5, 0.0001, 1e16,
+                                          9999999999999998.0])])
+        assert read_text(path) == \
+            "x\n1e-05\n0.0001\n1e+16\n9999999999999998.0\n"
+
+    def test_every_decade_and_length(self, tmp_path):
+        # short and long digit strings at each decimal exponent, unsorted,
+        # so rows of one layout are scattered through a piece
+        rng = np.random.default_rng(9)
+        digits = rng.integers(1, 18, 50000)
+        mantissas = rng.integers(10 ** (digits - 1), 10 ** digits)
+        exponents = rng.integers(-40, 41, 50000)
+        assert_floats_as_repr(tmp_path, [
+            float(f"{m}e{e}") for m, e in zip(mantissas.tolist(),
+                                                exponents.tolist())])
+
 
 class TestWriteCsv:
+    def test_matches_oracle_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = _PIECE_ROWS + 7
+        columns = [np.arange(n) * 7 - 50, rng.standard_normal(n),
+                   rng.random(n) > 0.5, [f"s{i % 13}" for i in range(n)],
+                   np.where(rng.random(n) < 0.1, np.nan,
+                            rng.standard_normal(n) * 1e-7),
+                   range(n), rng.standard_normal(n).astype(np.float32)]
+        header = ["i", "f", "b", "s", "tiny", "r", "f32"]
+        write_csv(tmp_path / "a.csv", header, columns)
+        write_csv_oracle(tmp_path / "b.csv", header, columns)
+        assert read_text(tmp_path / "a.csv") == read_text(tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, -1, 7, 10, -10, 99, 10 ** 16, 10 ** 17 - 1,
+                  -(10 ** 17 - 1)]),
+        np.array([3, 10 ** 17, -5]),  # beyond the digit kernel
+        np.array([0, 2 ** 63 - 1, -2 ** 63]),
+        np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+        np.arange(-40000, 40000, 3, dtype=np.int32)])
+    def test_integer_arrays_match_oracle(self, tmp_path, values):
+        write_csv(tmp_path / "a.csv", ["n"], [values])
+        write_csv_oracle(tmp_path / "b.csv", ["n"], [values])
+        assert read_text(tmp_path / "a.csv") == read_text(tmp_path / "b.csv")
+
+
     def test_float_column_in_pieces_matches_one_string(self, tmp_path):
         values = np.random.default_rng(0).standard_normal(2 * _PIECE_ROWS + 3)
         values[:4] = [0.0, -0.0, 1e-300, 1.0 / 3.0]
