@@ -47,8 +47,8 @@ def _pow10_table(lo_k=-266, hi_k=298):
 
 _P_OFF, _P_HI, _P_LO, _P_HH, _P_HL = _pow10_table()
 # ASCII of 0000..9999 as one uint32 each, and 17-digit masks that keep p digits
-_QUADS = ((np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-           + ord("0")).astype(np.uint8).view(np.uint32).ravel())
+_QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
+                              indexing="ij"), axis=-1).view(np.uint32).ravel()
 _KEEP = np.where(np.arange(17) < np.arange(18)[:, None], 255, 0).astype(np.uint8)
 
 
@@ -212,8 +212,6 @@ def _float_cells(x):
     out = np.empty((len(x), _WIDTH), dtype=np.uint8)
     for g in np.flatnonzero(np.bincount(form, minlength=21)):
         rows = np.flatnonzero(form == g)
-        if rows[-1] - rows[0] + 1 == len(rows):  # one run, as in sorted data
-            rows = slice(rows[0], rows[-1] + 1)
         out[rows] = _layout(sign[rows], dig[rows], cut[rows], p[rows],
                             e[rows], None if g == 20 else int(g) - 4)
     slow = np.flatnonzero(~fast)
@@ -224,25 +222,10 @@ def _float_cells(x):
     return out
 
 
-def _int_cells(a):
-    """``str`` of each integer in ``a``, all of them below 10**17 in
-    magnitude, as a zero-padded (n, 18) uint8 matrix."""
-    a = a.astype(np.int64)
-    mag = np.abs(a)
-    digits = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
-    out = np.empty((len(a), 18), dtype=np.uint8)
-    out[:, 0] = np.where(a < 0, ord("-"), 0)
-    out[:, 1:] = _digit_chars(mag) & ~_KEEP[17 - digits]
-    return out
-
-
 def _cells(block):
     """One column's cells as a zero-padded uint8 matrix, one row per cell."""
     if isinstance(block, np.ndarray) and block.dtype == np.float64:
         return _float_cells(block)
-    if (isinstance(block, np.ndarray) and block.dtype.kind in "iu"
-            and -10 ** 17 < block.min() and block.max() < 10 ** 17):
-        return _int_cells(block)
     if isinstance(block, np.ndarray):
         block = block.tolist()
     text = np.array([str(v).encode() for v in block], dtype="S")
@@ -256,12 +239,12 @@ def write_csv(path, header, columns):
     ``columns`` are equal-length numpy arrays, lists or ranges, one per
     header name.  Every cell is written as ``str`` writes it, which gives a
     float, Python or numpy, as ``repr``: its shortest round-trip form.  A
-    float64 array goes through ``_float_cells``, byte-identical to ``repr``,
-    and an integer array below 10**17 in magnitude through ``_int_cells``;
-    anything else is written cell by cell.  Rows go out in pieces of ``_PIECE_ROWS``: each column becomes
-    a zero-padded byte matrix, the matrices are joined with comma and
-    newline columns, and one mask drops the padding, so a cell may not
-    contain a NUL byte.  A large table is never one string in memory.
+    float64 array goes through ``_float_cells``, byte-identical to ``repr``;
+    anything else is written cell by cell.  Rows go out in pieces of
+    ``_PIECE_ROWS``: each column becomes a zero-padded byte matrix, the
+    matrices are joined with comma and newline columns, and one mask drops
+    the padding, so a cell may not contain a NUL byte.  A large table is
+    never one string in memory.
     """
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
