@@ -12,9 +12,9 @@ from .evaluation import (EvalScores, LinkPredSplit, evaluate, make_split,
                          score_pairs, stability_error_distribution)
 from .graph import (CorenessMap, Graph, SubgraphFeatures, core_decomposition,
                     load_edge_list, subgraph_features)
-from .regress import RegressionFit, RegressionSample, collect_samples, ols_fit
+from .regress import RegressionFit, collect_samples, ols_fit
 from .share import (ShareReport, emd_1d, max_instability_shell,
                     pairwise_distribution, run_share)
 from .stable import (StableConfig, StableResult, instability_penalty,
                      isolated_core_embedding, stable_train)
-from .synth import GenSpec, desk_graph, generate
+from .synth import GenSpec, generate

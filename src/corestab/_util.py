@@ -1,4 +1,5 @@
-"""Shared helpers: seed derivation, stable serialization, atomic file writes.
+"""Shared helpers: seed derivation, stable serialization, JSON field checks,
+atomic file writes.
 
 ``write_csv`` turns float64 columns into text with a numpy kernel whose
 output is byte for byte ``repr`` of each value.  It scales x by
@@ -88,6 +89,54 @@ def write_atomic(path, pieces):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "an array"}
+
+
+def _json_mismatch(value, typ):
+    """None if ``value`` suits a field of type ``typ``, else what it should
+    be."""
+    args = getattr(typ, "__args__", ())
+    if type(None) in args:  # Optional[X]
+        want = _json_mismatch(value, args[0])
+        return None if value is None or want is None else want + " or null"
+    if isinstance(value, bool):  # JSON true and false are no numbers
+        ok = typ is bool
+    elif typ is float:
+        ok = isinstance(value, int) or (isinstance(value, float)
+                                        and np.isfinite(value))
+    else:
+        ok = isinstance(value, typ)
+    return None if ok else _JSON_KINDS.get(typ, typ.__name__)
+
+
+def json_fields(cls, d, strict=True):
+    """Keyword arguments for the dataclass ``cls`` from the JSON object ``d``.
+
+    Each value must suit its field's type: an int field takes an integer, a
+    float field a finite number (true and false are neither), a str field a
+    string, and an ``Optional`` field also null.  A wrong type, a missing
+    field without a default, or, if ``strict``, a key that names no field
+    raises ValueError naming the key.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    known = cls.__dataclass_fields__
+    unknown = sorted(set(d) - set(known))
+    if strict and unknown:
+        raise ValueError(f"unknown keys: {unknown}")
+    for name, f in known.items():
+        if name not in d:
+            # dataclasses mark "no default" and "no factory" by one MISSING
+            if f.default is f.default_factory:
+                raise ValueError(f"missing key {name!r}")
+            continue
+        want = _json_mismatch(d[name], f.type)
+        if want:
+            raise ValueError(f"key {name!r} must be {want}, got {d[name]!r}")
+    return {name: d[name] for name in known if name in d}
 
 
 def sha256_file(path):

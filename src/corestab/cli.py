@@ -43,9 +43,14 @@ EXIT_PARTIAL = 4
 _FEATURE_FIELDS = [f.name for f in fields(SubgraphFeatures)]
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path, cls):
+    """``cls.from_dict`` of the JSON file at ``path``; a ValueError names
+    the file."""
+    try:
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_manifest(out_dir, command, config, seed, inputs, started):
@@ -140,7 +145,7 @@ def cmd_share(args):
     inputs = [args.graph]
     dataset = os.path.basename(args.graph)
     if args.embedder:
-        embedder = EmbedSpec.from_dict(_load_json(args.embedder))
+        embedder = _load_json(args.embedder, EmbedSpec)
         inputs.append(args.embedder)
     else:
         embedder = _external_embedder(args.external_embeddings)
@@ -172,7 +177,7 @@ def cmd_share(args):
 def cmd_stable(args):
     started = time.time()
     g = load_edge_list(args.graph)
-    cfg = StableConfig.from_dict(_load_json(args.config))
+    cfg = _load_json(args.config, StableConfig)
     os.makedirs(args.out, exist_ok=True)
     result = stable_train(g, cfg, args.seed)
 
@@ -238,8 +243,7 @@ def cmd_regress(args):
         return EXIT_INPUT
     reports = []
     for p in paths:
-        d = _load_json(p)
-        rep = ShareReport.from_dict(d)
+        rep = _load_json(p, ShareReport)
         if len(rep.records) < 2:
             log.warning("%s: fewer than 2 records, skipped", p)
             continue
@@ -247,34 +251,27 @@ def cmd_regress(args):
     if not reports:
         log.error("no usable reports (each needs >= 2 records)")
         return EXIT_INPUT
-    samples = collect_samples(reports)
+    x, y, sources = collect_samples(reports)
     os.makedirs(args.out, exist_ok=True)
 
+    keys = ("dataset", "algorithm", "dim", "k")
     write_csv(os.path.join(args.out, "samples.csv"),
-              ["dataset", "algorithm", "dim", "k", "d_emd", "d_size",
-               "d_edge_density", "d_clustering_coefficient", "d_transitivity"],
-              [["" if s.source.get(key) is None else s.source[key]
-                for s in samples]
-               for key in ("dataset", "algorithm", "dim", "k")]
-              + [[getattr(s, name) for s in samples]
-                 for name in ("d_emd", "d_size", "d_edge_density",
-                              "d_clustering", "d_transitivity")])
+              [*keys, "d_emd", *FEATURE_NAMES[1:]],
+              [["" if s[key] is None else s[key] for s in sources]
+               for key in keys] + [y, *x[:, 1:].T])
 
-    combos = {}
-    for s in samples:
-        dim = s.source.get("dim")
-        key = (str(s.source.get("algorithm")), "" if dim is None else str(dim))
-        combos.setdefault(key, []).append(s)
-    fits = []
-    failures = 0
+    groups = {}
+    for i, s in enumerate(sources):
+        dim = "" if s["dim"] is None else str(s["dim"])
+        groups.setdefault((str(s["algorithm"]), dim), []).append(i)
+    fits, failures = [], 0
     fit_header = ["algorithm", "dim", "samples", "feature", "coefficient",
                   "std_error", "ci_lower", "ci_upper", "r_squared"]
     fit_columns = [[] for _ in fit_header]
-    for (algo, dim), combo_samples in sorted(combos.items()):
-        entry = {"algorithm": algo, "dim": dim or None,
-                 "samples": len(combo_samples)}
+    for (algo, dim), rows in sorted(groups.items()):
+        entry = {"algorithm": algo, "dim": dim or None, "samples": len(rows)}
         try:
-            fit = ols_fit(combo_samples)
+            fit = ols_fit(x[rows], y[rows])
             entry["fit"] = fit.to_dict()
             nf = len(FEATURE_NAMES)
             for column, cells in zip(fit_columns, (
@@ -298,7 +295,7 @@ def cmd_regress(args):
 
 def cmd_generate(args):
     started = time.time()
-    spec = GenSpec.from_dict(_load_json(args.spec))
+    spec = _load_json(args.spec, GenSpec)
     g = generate(spec, args.seed)
     os.makedirs(args.out, exist_ok=True)
     lines = [f"{int(i)} {int(j)}" for i, j in g.edges]

@@ -4,7 +4,7 @@ normalized Laplacian, and first-order edge-sampling SGD with negative sampling.
 
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.special import expit
 
-from ._util import write_atomic, write_csv
+from ._util import json_fields, write_atomic, write_csv
 
 LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
@@ -67,10 +67,7 @@ class EmbedSpec:
 
     @classmethod
     def from_dict(cls, d):
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown embedder config keys: {sorted(extra)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d))
 
 
 def _sign_canonical(vecs):
@@ -433,6 +430,8 @@ def save_embedding_csv(path, emb, orig_ids):
 
 
 def load_embedding_csv(path):
+    """Node ids and rows of an embedding CSV; a file without embedding
+    columns or rows raises ValueError naming it."""
     ids = []
     rows = []
     with open(path) as fh:
@@ -440,6 +439,8 @@ def load_embedding_csv(path):
         if not header or header[0] != "node_id":
             raise ValueError(f"{path}: missing node_id header")
         dim = len(header) - 1
+        if dim < 1:
+            raise ValueError(f"{path}: no embedding columns")
         for ln, line in enumerate(fh, start=2):
             s = line.strip()
             if not s:
@@ -449,6 +450,8 @@ def load_embedding_csv(path):
                 raise ValueError(f"{path}:{ln}: expected {dim + 1} columns")
             ids.append(int(parts[0]))
             rows.append([float(x) for x in parts[1:]])
+    if not rows:
+        raise ValueError(f"{path}: no embedding rows")
     return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .stable import proximity_gaps_squared
+from .stable import _core_gap_blocks
 
 
 @dataclass
@@ -22,8 +22,6 @@ class LinkPredSplit:
     train: Graph
     positives: np.ndarray  # (p, 2) dense node ids
     negatives: np.ndarray  # (p, 2) dense node ids, non-edges of the original
-    seed: int
-    fraction: float
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,7 @@ def make_split(g, fraction, seed):
         seen.add(key)
         negatives.append(key)
     return LinkPredSplit(train=train, positives=positives,
-                         negatives=np.array(negatives, dtype=np.int64),
-                         seed=seed, fraction=fraction)
+                         negatives=np.array(negatives, dtype=np.int64))
 
 
 def score_pairs(emb, pairs):
@@ -148,12 +145,15 @@ def evaluate(emb, split):
 
 
 def stability_error_distribution(emb, isolated_core, core):
-    """Sorted per-pair squared proximity gaps; sums to the stability penalty."""
-    core = np.asarray(core, dtype=np.int64)
-    if len(core) < 2:
+    """Sorted squared proximity gaps of all unordered core pairs; they sum
+    to the stability penalty."""
+    k = len(core)
+    if k < 2:
         raise ValueError("need at least 2 core nodes")
-    if isolated_core.shape[0] != len(core):
-        raise ValueError("isolated-core rows do not match the core mapping")
-    gaps = proximity_gaps_squared(np.asarray(emb)[core], isolated_core)
+    gaps = np.empty(k * (k - 1) // 2)
+    pos = 0
+    for seg in _core_gap_blocks(emb, isolated_core, core):
+        gaps[pos:pos + seg.size] = seg
+        pos += seg.size
     gaps.sort()
     return gaps

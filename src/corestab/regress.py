@@ -5,30 +5,21 @@ one sample: the instability increment regressed on the changes in subgraph
 size, edge density, mean clustering, and transitivity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import stdtrit
 
+# the intercept, then one delta per SubgraphFeatures field, in field order
 FEATURE_NAMES = ("intercept", "d_size", "d_edge_density",
                  "d_clustering_coefficient", "d_transitivity")
-
-
-@dataclass(frozen=True)
-class RegressionSample:
-    d_emd: float
-    d_size: float
-    d_edge_density: float
-    d_clustering: float
-    d_transitivity: float
-    source: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class RegressionFit:
     coefficients: np.ndarray   # intercept first, then feature deltas
     std_errors: np.ndarray
-    ci_lower: np.ndarray       # 95% bounds, t distribution with n-5 dof
+    ci_lower: np.ndarray       # 95% bounds, t distribution with n-k dof
     ci_upper: np.ndarray
     r_squared: float
     samples: int
@@ -46,49 +37,37 @@ class RegressionFit:
 
 
 def collect_samples(reports):
-    """One sample per adjacent processed-shell pair, pooled across reports."""
-    samples = []
+    """One sample per adjacent processed-shell pair, pooled across reports,
+    as ``(x, y, sources)``: an intercept column, then the change in each
+    ``SubgraphFeatures`` field (labelled by ``FEATURE_NAMES``); the
+    instability increments; and a ``{dataset, algorithm, dim, k}`` dict per
+    sample."""
+    deltas, y, sources = [], [], []
     for report in reports:
-        if len(report.records) < 2:
+        records = report.records
+        if len(records) < 2:
             raise ValueError(
                 f"report {report.dataset!r} has fewer than 2 records")
-        for prev, cur in zip(report.records, report.records[1:]):
-            fp, fc = prev.features, cur.features
-            samples.append(RegressionSample(
-                d_emd=float(cur.delta),
-                d_size=float(fc.size - fp.size),
-                d_edge_density=fc.edge_density - fp.edge_density,
-                d_clustering=(fc.avg_clustering_coefficient
-                              - fp.avg_clustering_coefficient),
-                d_transitivity=fc.transitivity - fp.transitivity,
-                source={
-                    "dataset": report.dataset,
-                    "k": cur.k,
-                    "algorithm": report.embedder.get("algorithm", "external"),
-                    "dim": report.embedder.get("dim"),
-                },
-            ))
-    return samples
+        deltas.append(np.diff([astuple(r.features) for r in records], axis=0))
+        y += [r.delta for r in records[1:]]
+        source = {"dataset": report.dataset,
+                  "algorithm": report.embedder.get("algorithm", "external"),
+                  "dim": report.embedder.get("dim")}
+        sources += [{**source, "k": r.k} for r in records[1:]]
+    x = np.vstack(deltas)
+    return np.column_stack([np.ones(len(x)), x]), np.array(y, float), sources
 
 
-def design_matrix(samples):
-    x = np.array([[1.0, s.d_size, s.d_edge_density, s.d_clustering,
-                   s.d_transitivity] for s in samples])
-    y = np.array([s.d_emd for s in samples])
-    return x, y
-
-
-def ols_fit(samples):
-    """Closed-form OLS with standard errors and 95% confidence intervals.
+def ols_fit(x, y):
+    """Closed-form OLS of ``y`` on the columns of ``x`` with standard errors
+    and 95% confidence intervals.
 
     Solved by SVD least squares (rank revealing); errors from the classical
-    sigma^2 (X'X)^-1 with n-5 residual degrees of freedom.
+    sigma^2 (X'X)^-1 with n-k residual degrees of freedom.
     """
-    n = len(samples)
-    k = len(FEATURE_NAMES)
+    n, k = x.shape
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} samples, got {n}")
-    x, y = design_matrix(samples)
     if np.linalg.matrix_rank(x) < k:
         raise ValueError("design matrix is rank deficient")
     beta, _, _, _ = np.linalg.lstsq(x, y, rcond=None)

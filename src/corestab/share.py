@@ -6,13 +6,13 @@ among degenerate-core nodes drifts from the full-graph baseline (earth
 mover's distance), plus the per-shell instability increments.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._util import derive_seed
+from ._util import derive_seed, json_fields
 from .embed import EmbedSpec, embed_graph
 from .graph import SubgraphFeatures, core_decomposition, subgraph_features
 
@@ -50,18 +50,23 @@ class ShareReport:
 
     @classmethod
     def from_dict(cls, d):
-        records = [
-            ShareRecord(
-                k=int(r["k"]), emd=float(r["emd"]),
-                delta=None if r["delta"] is None else float(r["delta"]),
-                # each field's annotation (int or float) casts its value
-                features=SubgraphFeatures(**{
-                    f.name: f.type(r[f.name])
-                    for f in fields(SubgraphFeatures)}))
-            for r in d["records"]
-        ]
-        return cls(dataset=d["dataset"], seed=int(d["seed"]), metric=d["metric"],
-                   embedder=dict(d["embedder"]), records=records)
+        """The report of a ``to_dict`` form, checked: a value that is not a
+        JSON object, a missing key, a value of the wrong type, or a null
+        delta past the baseline record raises ValueError naming the key."""
+        kwargs = json_fields(cls, d, strict=False)
+        records = []
+        for i, r in enumerate(kwargs["records"]):
+            try:
+                features = SubgraphFeatures(
+                    **json_fields(SubgraphFeatures, r, strict=False))
+                rec = ShareRecord(**json_fields(
+                    ShareRecord, {**r, "features": features}, strict=False))
+                if i and rec.delta is None:
+                    raise ValueError("key 'delta' is null past the baseline")
+            except ValueError as exc:
+                raise ValueError(f"records[{i}]: {exc}") from None
+            records.append(rec)
+        return cls(**{**kwargs, "records": records})
 
 
 class ShareEmbedderError(RuntimeError):

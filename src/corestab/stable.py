@@ -12,13 +12,13 @@ directly, never materialized.
 """
 
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from ._util import derive_seed
+from ._util import derive_seed, json_fields
 from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
                     EmbedSpec, _gather, _line_updates, _SGDWorkspace,
                     apply_coefficients, embed_graph, line_base_loss)
@@ -85,12 +85,7 @@ class StableConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if "base" not in d:
-            raise ValueError("config is missing 'base'")
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d))
 
 
 @dataclass
@@ -199,8 +194,6 @@ def _gap_blocks(core_emb, core_ref):
     """
     core_emb = np.asarray(core_emb, dtype=np.float64)
     core_ref = np.asarray(core_ref, dtype=np.float64)
-    if core_emb.shape[0] != core_ref.shape[0]:
-        raise ValueError("core embedding and reference row counts differ")
     k = core_emb.shape[0]
     for lo in range(0, k, _GAP_BLOCK):
         hi = min(k, lo + _GAP_BLOCK)
@@ -216,30 +209,22 @@ def _gap_blocks(core_emb, core_ref):
         yield p[np.arange(hi - lo)[:, None] < np.arange(k - lo)]
 
 
-def proximity_gaps_squared(core_emb, core_ref):
-    """Squared first-order proximity gaps for all unordered core pairs.
-
-    Returns the per-pair values in upper-triangular row order; their sum is
-    the stability penalty.
-    """
-    k = np.shape(core_emb)[0]
-    out = np.empty(k * (k - 1) // 2)
-    pos = 0
-    for seg in _gap_blocks(core_emb, core_ref):
-        out[pos:pos + seg.size] = seg
-        pos += seg.size
-    return out
+def _core_gap_blocks(emb, isolated_core, core):
+    """``_gap_blocks`` of the rows ``core`` of ``emb`` against the
+    reference ``isolated_core``, once the core ids are checked to be rows of
+    ``emb`` and as many as the reference rows."""
+    core = np.asarray(core, dtype=np.int64)
+    if np.shape(isolated_core)[0] != len(core):
+        raise ValueError("isolated-core rows do not match the core mapping")
+    if len(core) and (core.min() < 0 or core.max() >= np.shape(emb)[0]):
+        raise ValueError("core ids outside embedding rows")
+    return _gap_blocks(np.asarray(emb)[core], isolated_core)
 
 
 def instability_penalty(emb, isolated_core, core):
     """Sum of squared proximity gaps over all unordered core pairs, summed
     block by block without holding every gap."""
-    core = np.asarray(core, dtype=np.int64)
-    if isolated_core.shape[0] != len(core):
-        raise ValueError("isolated-core rows do not match the core mapping")
-    if len(core) and (core.min() < 0 or core.max() >= emb.shape[0]):
-        raise ValueError("core ids outside embedding rows")
-    blocks = _gap_blocks(emb[core], isolated_core)
+    blocks = _core_gap_blocks(emb, isolated_core, core)
     return float(sum(seg.sum() for seg in blocks))
 
 

@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._util import json_fields
 from .graph import Graph
 
 ER = "er"
@@ -40,11 +41,7 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: d[k] for k in ("model", "n", "p", "m_attach") if k in d}
-        extra = set(d) - set(known)
-        if extra:
-            raise ValueError(f"unknown generator keys: {sorted(extra)}")
-        return cls(**known)
+        return cls(**json_fields(cls, d))
 
 
 def _erdos_renyi(n, p, rng):
@@ -85,19 +82,3 @@ def generate(spec, seed=0):
         return _erdos_renyi(spec.n, spec.p, rng)
     return _barabasi_albert(spec.n, spec.m_attach, rng)
 
-
-def desk_graph():
-    """Small fixture: two 5-cliques joined by a bridge, plus four pendants.
-
-    The pendant periphery keeps the degenerate core (the ten clique nodes)
-    strictly smaller than the graph, so the isolated-core embedding differs
-    from the full-graph one and stability runs have something to improve.
-    """
-    edges = []
-    for base in (0, 5):
-        for i in range(base, base + 5):
-            for j in range(i + 1, base + 5):
-                edges.append((i, j))
-    edges.append((0, 5))                      # bridge
-    edges += [(1, 10), (2, 11), (6, 12), (7, 13)]  # pendants
-    return Graph(14, np.array(edges, dtype=np.int64))

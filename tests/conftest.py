@@ -70,6 +70,20 @@ def complete_graph(n):
     return Graph(n, np.column_stack([i, j]))
 
 
+def desk_graph():
+    """Small fixture: two 5-cliques joined by a bridge, plus four pendants.
+
+    The pendant periphery keeps the degenerate core (the ten clique nodes)
+    strictly smaller than the graph, so the isolated-core embedding differs
+    from the full-graph one and stability runs have something to improve.
+    """
+    edges = [(i, j) for base in (0, 5) for i in range(base, base + 5)
+             for j in range(i + 1, base + 5)]
+    edges.append((0, 5))                      # bridge
+    edges += [(1, 10), (2, 11), (6, 12), (7, 13)]  # pendants
+    return Graph(14, np.array(edges, dtype=np.int64))
+
+
 def ba_with_pendants(n_core, m_attach, pendants, seed):
     """BA(n_core, m_attach) plus ``pendants`` degree-1 nodes, each attached
     to a BA node drawn by ``np.random.default_rng(seed)``; the BA graph is

@@ -19,16 +19,15 @@ from corestab.embed import EmbedSpec, embed_graph, save_embedding_csv
 from corestab.evaluation import (evaluate, make_split,
                                  stability_error_distribution)
 from corestab.graph import core_decomposition, load_edge_list
-from corestab.regress import (RegressionSample, collect_samples,
-                              design_matrix, ols_fit)
+from corestab.regress import collect_samples, ols_fit
 from corestab.share import emd_1d, run_share
 from corestab.stable import StableConfig, stable_train
-from corestab.synth import GenSpec, desk_graph, generate
+from corestab.synth import GenSpec, generate
 
 from conftest import (ba_with_pendants, central_difference,
-                      clique_rw_spectrum, clique_spectrum_numeric, emd_lp,
-                      le_base_gradient, line_gradients, naive_coreness,
-                      random_er, stability_gradient)
+                      clique_rw_spectrum, clique_spectrum_numeric,
+                      desk_graph, emd_lp, le_base_gradient, line_gradients,
+                      naive_coreness, random_er, stability_gradient)
 
 SEEDS = (0, 1, 2)
 
@@ -345,16 +344,14 @@ def test_criterion_8_link_prediction():
 def test_criterion_9_regression_sanity(pattern2_reports, karate):
     start = time.perf_counter()
     rng = np.random.default_rng(99)
-    planted = []
+    deltas, y = [], []
     for _ in range(200):
-        d_size, d_dens, d_clust, d_trans = rng.normal(size=4)
-        planted.append(RegressionSample(
-            2.0 * d_dens + rng.normal() * 1e-6,
-            d_size, d_dens, d_clust, d_trans))
-    fit = ols_fit(planted)
+        deltas.append(rng.normal(size=4))  # size, density, clust, trans
+        y.append(2.0 * deltas[-1][1] + rng.normal() * 1e-6)
+    x, y = np.column_stack([np.ones(200), np.array(deltas)]), np.array(y)
+    fit = ols_fit(x, y)
     planted_ok = abs(fit.coefficients[2] - 2.0) <= 1e-3
 
-    x, y = design_matrix(planted)
     resid = y - x @ fit.coefficients
     ortho = max(abs(resid @ x[:, j])
                 / max(np.linalg.norm(resid) * np.linalg.norm(x[:, j]), 1e-300)
@@ -370,8 +367,7 @@ def test_criterion_9_regression_sanity(pattern2_reports, karate):
     short = [r.dataset for r in pooled_reports if len(r.records) < 2]
     if short:
         report(9, False, f"reports with fewer than 2 records: {short}")
-    samples = collect_samples(pooled_reports)
-    pooled_fit = ols_fit(samples)
+    pooled_fit = ols_fit(*collect_samples(pooled_reports)[:2])
     ci_ok = ((pooled_fit.ci_lower <= pooled_fit.coefficients).all()
              and (pooled_fit.coefficients <= pooled_fit.ci_upper).all())
     signs = (f"pooled fit on {pooled_fit.samples} samples: density coeff "

@@ -12,8 +12,8 @@ from corestab.cli import main
 from corestab.embed import save_embedding_csv
 
 from conftest import (KARATE_EDGES, ba_with_pendants, complete_graph,
-                      kcore_features_oracle, read_json, read_text,
-                      write_csv_oracle)
+                      desk_graph, kcore_features_oracle, read_json,
+                      read_text, write_csv_oracle)
 
 
 def write_graph(tmp_path, name, edges):
@@ -127,7 +127,6 @@ class TestKcore:
 
 class TestShare:
     def test_desk_run_and_rerun_identical(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -158,7 +157,6 @@ class TestShare:
             [(0, 6, 0.0)]
 
     def test_report_csv_matches_json(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -186,7 +184,6 @@ class TestShare:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_cosine_metric_recorded(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -234,7 +231,6 @@ class TestShare:
         assert written == ["k0.csv", "k1.csv"]
 
     def test_cosine_zero_row_partial_exit_4(self, tmp_path, caplog):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -296,6 +292,23 @@ class TestShare:
                   if "shell k=1 failed" in r.getMessage()]
         assert failed and "embeddings_k1.csv" in failed[0]
 
+    def test_external_header_only_file_partial_exit_4(self, tmp_path, caplog):
+        graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        save_embedding_csv(ext / "embeddings_k0.csv",
+                           np.zeros((4, 2)), [0, 1, 2, 3])
+        (ext / "embeddings_k1.csv").write_text("node_id,e0\n")
+        out = str(tmp_path / "o")
+        with caplog.at_level("ERROR"):
+            code = main(["share", "--graph", graph, "--external-embeddings",
+                         str(ext), "--out", out])
+        assert code == 4
+        assert "embeddings_k1.csv: no embedding rows" in caplog.text
+        report = read_json(out, "share_report.json")
+        assert report["partial"] is True and report["failed_k"] == 1
+        assert [r["k"] for r in report["records"]] == [0]
+
 
     def test_self_loop_only_node_spectral_exit_0(self, tmp_path):
         clique = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -321,7 +334,6 @@ def test_cli_import_does_not_load_scipy_stats():
 
 class TestStable:
     def test_desk_outputs(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -340,7 +352,6 @@ class TestStable:
         assert os.path.exists(os.path.join(out, "stability_errors.csv"))
 
     def test_divergence_exit_3(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -352,7 +363,6 @@ class TestStable:
 
     def test_inaccurate_eigensolve_exit_3(self, tmp_path, monkeypatch):
         import corestab.embed as em
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -378,7 +388,6 @@ class TestStable:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_alpha_zero_warns(self, tmp_path, caplog):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -391,7 +400,6 @@ class TestStable:
         assert any("alpha=0" in r.message for r in caplog.records)
 
     def test_rerun_identical(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -404,7 +412,6 @@ class TestStable:
         assert read_outputs(out_a) == read_outputs(out_b)
 
     def test_seed_option_selects_the_run(self, tmp_path):
-        from corestab.synth import desk_graph
         g = desk_graph()
         graph = write_graph(tmp_path, "desk.txt",
                             [tuple(e) for e in g.edges.tolist()])
@@ -438,6 +445,84 @@ def test_seed_key_in_config_file_exit_2(tmp_path, caplog, command, flag,
         assert main(argv) == 2
     assert any("unknown" in r.getMessage() and "'seed'" in r.getMessage()
                for r in caplog.records)
+
+
+def run_with_config_text(tmp_path, command, flag, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, flag, str(path), "--out", str(tmp_path / "o")]
+    if command != "generate":
+        argv += ["--graph", write_graph(tmp_path, "tri.txt", TRIANGLE)]
+    return main(argv), str(path)
+
+
+def assert_config_refused(tmp_path, caplog, command, flag, text, cause):
+    with caplog.at_level("ERROR"):
+        code, path = run_with_config_text(tmp_path, command, flag, text)
+    assert code == 2
+    assert f"{path}: {cause}" in caplog.text
+
+
+@pytest.mark.parametrize("text,cause", [
+    ('{"algorithm": "line1", "dim": "4"}',
+     "key 'dim' must be an integer, got '4'"),
+    ('{"algorithm": "line1", "dim": 2, "batches": true}',
+     "key 'batches' must be an integer, got True"),
+    ('{"algorithm": "line1", "dim": 2.0}',
+     "key 'dim' must be an integer, got 2.0"),
+    ('{"algorithm": "line1", "dim": 2, "lr": NaN}',
+     "key 'lr' must be a finite number, got nan"),
+    ('{"algorithm": 1, "dim": 2}', "key 'algorithm' must be a string, got 1"),
+    ('{"algorithm": "line1"}', "missing key 'dim'"),
+    ("5", "expected a JSON object, got int"),
+])
+def test_embedder_config_types_exit_2(tmp_path, caplog, text, cause):
+    assert_config_refused(tmp_path, caplog, "share", "--embedder", text,
+                          cause)
+
+
+@pytest.mark.parametrize("text,cause", [
+    ('{"base": "line1", "batches": 2.5}',
+     "key 'batches' must be an integer, got 2.5"),
+    ('{"base": "line1", "batches": true}',
+     "key 'batches' must be an integer, got True"),
+    ('{"base": "line1", "lr": NaN}',
+     "key 'lr' must be a finite number, got nan"),
+    ('{"base": "line1", "alpha": Infinity}',
+     "key 'alpha' must be a finite number or null, got inf"),
+    ('{"base": "line1", "gamma": false}',
+     "key 'gamma' must be a finite number, got False"),
+    ('["line1"]', "expected a JSON object, got list"),
+])
+def test_stable_config_types_exit_2(tmp_path, caplog, text, cause):
+    assert_config_refused(tmp_path, caplog, "stable", "--config", text, cause)
+
+
+@pytest.mark.parametrize("text,cause", [
+    ('{"model": "er", "n": "5", "p": 0.5}',
+     "key 'n' must be an integer, got '5'"),
+    ('{"model": "er", "n": 5, "p": true}',
+     "key 'p' must be a finite number or null, got True"),
+    ('{"model": "ba", "n": 5, "m_attach": 2.0}',
+     "key 'm_attach' must be an integer or null, got 2.0"),
+    ('{"model": null, "n": 5, "p": 0.5}',
+     "key 'model' must be a string, got None"),
+    ("5", "expected a JSON object, got int"),
+])
+def test_generator_spec_types_exit_2(tmp_path, caplog, text, cause):
+    assert_config_refused(tmp_path, caplog, "generate", "--spec", text, cause)
+
+
+@pytest.mark.parametrize("command,flag,text", [
+    # an integer is a number; null stands for an Optional field's default
+    ("stable", "--config", '{"base": "line1", "dim": 2, "batches": 2, '
+     '"alpha": null, "gamma": 1}'),
+    ("generate", "--spec", '{"model": "er", "n": 6, "p": 1, '
+     '"m_attach": null}'),
+])
+def test_config_ints_as_floats_and_nulls_accepted(tmp_path, command, flag,
+                                                  text):
+    assert run_with_config_text(tmp_path, command, flag, text)[0] == 0
 
 
 @pytest.mark.parametrize("command,flag,config", [
@@ -530,6 +615,19 @@ class TestLinkpred:
                          "--out", str(tmp_path / "o")]) == 2
         assert f"{emb_path}: non-finite row for node id 5" in caplog.text
 
+    @pytest.mark.parametrize("text,cause", [
+        ("node_id,e0\n", "no embedding rows"),
+        ("node_id\n1\n2\n", "no embedding columns")])
+    def test_header_only_file_exit_2(self, tmp_path, karate_file, caplog,
+                                     text, cause):
+        emb_path = tmp_path / "emb.csv"
+        emb_path.write_text(text)
+        with caplog.at_level("ERROR"):
+            assert main(["linkpred", "--graph", karate_file,
+                         "--embeddings", str(emb_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"{emb_path}: {cause}" in caplog.text
+
 
 class TestRegress:
     def _write_report(self, tmp_path, name, nrec, algorithm="line1", dim=10,
@@ -541,7 +639,7 @@ class TestRegress:
         size, dens, clust, trans = 50, 0.1, 0.1, 0.1
         for k in range(1, nrec):
             d_dens = float(rng.uniform(0, 0.05)) if rng is not None else 0.01
-            d_size = -float(rng.integers(1, 4)) if rng is not None else -1
+            d_size = -int(rng.integers(1, 4)) if rng is not None else -1
             d_clust = float(rng.uniform(-0.02, 0.02)) if rng is not None else 0.0
             d_trans = float(rng.uniform(-0.02, 0.02)) if rng is not None else 0.0
             delta = (planted_coef * d_dens if planted_coef is not None
@@ -624,6 +722,38 @@ class TestRegress:
         assert all(row.startswith("external,,9,") for row in fits[1:])
         entry = read_json(out, "fits.json")["fits"][0]
         assert entry["algorithm"] == "external" and entry["dim"] is None
+
+    @pytest.mark.parametrize("case,cause", [
+        ("not_object", "expected a JSON object, got list"),
+        ("missing_key", "records[1]: missing key 'edge_density'"),
+        ("wrong_type", "key 'embedder' must be an object, got 5"),
+        ("null_delta", "records[2]: key 'delta' is null past the baseline"),
+        ("float_k", "records[1]: key 'k' must be an integer, got 1.5"),
+        ("nan_emd", "records[2]: key 'emd' must be a finite number, got nan"),
+    ])
+    def test_malformed_report_exit_2(self, tmp_path, caplog, case, cause):
+        path = self._write_report(tmp_path, "g0", 4)
+        with open(path) as fh:
+            payload = json.load(fh)
+        records = payload["records"]
+        if case == "not_object":
+            payload = [payload]
+        elif case == "missing_key":
+            del records[1]["edge_density"]
+        elif case == "wrong_type":
+            payload["embedder"] = 5
+        elif case == "null_delta":
+            records[2]["delta"] = None
+        elif case == "float_k":
+            records[1]["k"] = 1.5
+        else:
+            records[2]["emd"] = float("nan")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with caplog.at_level("ERROR"):
+            assert main(["regress", "--reports", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"{path}: {cause}" in caplog.text
 
 
 class TestGenerate:

@@ -697,11 +697,11 @@ class TestEmbedSpecDict:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError,
-                           match=r"unknown embedder config keys: \['zz'\]"):
+                           match=r"unknown keys: \['zz'\]"):
             EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "zz": 1})
         # the seed is an argument of the engine call, not a spec field
         with pytest.raises(ValueError,
-                           match=r"unknown embedder config keys: \['seed'\]"):
+                           match=r"unknown keys: \['seed'\]"):
             EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "seed": 1})
 
 

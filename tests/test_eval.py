@@ -93,15 +93,14 @@ class TestRankAuc:
 
 
 class TestEvaluate:
-    def _planted_split(self, n_pairs, seed=0):
+    def _planted_split(self, n_pairs):
         """Split over a star graph with synthetic positives/negatives."""
         from corestab.evaluation import LinkPredSplit
         g = Graph(2 * n_pairs, [[i, i + 1] for i in range(2 * n_pairs - 1)])
         pos = np.array([[2 * i, 2 * i + 1] for i in range(n_pairs)])
         neg = np.array([[2 * i + 1, (2 * i + 2) % (2 * n_pairs)]
                         for i in range(n_pairs)])
-        return LinkPredSplit(train=g, positives=pos, negatives=neg,
-                             seed=seed, fraction=0.1)
+        return LinkPredSplit(train=g, positives=pos, negatives=neg)
 
     def test_perfect_separation(self):
         split = self._planted_split(4)
@@ -170,8 +169,7 @@ class TestEvaluate:
                         [1.0, 0.0], [-1.0, 0.0]])
         split = LinkPredSplit(train=Graph(6, [[0, 1]]),
                               positives=np.array([[0, 1], [2, 3]]),
-                              negatives=np.array([[2, 4], [4, 5]]),
-                              seed=0, fraction=0.1)
+                              negatives=np.array([[2, 4], [4, 5]]))
         scores = evaluate(emb, split)
         assert scores.threshold == pytest.approx(np.sqrt(0.5))
         assert scores.f1 == pytest.approx(0.75)
@@ -188,8 +186,7 @@ class TestEvaluate:
         from corestab.evaluation import LinkPredSplit
         split = LinkPredSplit(train=Graph(2, [[0, 1]]),
                               positives=np.zeros((0, 2), dtype=np.int64),
-                              negatives=np.zeros((0, 2), dtype=np.int64),
-                              seed=0, fraction=0.1)
+                              negatives=np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(np.zeros((2, 2)), split)
 
@@ -216,6 +213,17 @@ class TestStabilityErrorDistribution:
         with pytest.raises(ValueError):
             stability_error_distribution(np.zeros((3, 2)), np.zeros((1, 2)),
                                          [0])
+
+    @pytest.mark.parametrize("core,ref_rows,match", [
+        ([-1, 0], 2, "outside"), ([0, 3], 2, "outside"),
+        ([0, 1], 3, "do not match")])
+    def test_core_ids_checked_like_the_penalty(self, core, ref_rows, match):
+        # row -1 once read the last embedding row without complaint
+        emb = np.random.default_rng(5).normal(size=(3, 2))
+        ref = np.zeros((ref_rows, 2))
+        for f in (stability_error_distribution, instability_penalty):
+            with pytest.raises(ValueError, match=match):
+                f(emb, ref, core)
 
 
 class TestSplitOnRandomGraphs:

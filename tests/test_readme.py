@@ -3,7 +3,7 @@
 import os
 import re
 
-from corestab.synth import desk_graph
+from conftest import desk_graph
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")

@@ -1,9 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from corestab.graph import SubgraphFeatures
-from corestab.regress import (RegressionSample, collect_samples,
-                              design_matrix, ols_fit)
+from corestab.regress import FEATURE_NAMES, collect_samples, ols_fit
 from corestab.share import ShareRecord, ShareReport
 
 
@@ -17,14 +18,14 @@ def report_with_features(rows, dataset="g", algorithm="line1", dim=10):
                        {"algorithm": algorithm, "dim": dim}, records)
 
 
-def planted_samples(rng, n, coef=2.0, noise=1e-6):
-    samples = []
+def planted(rng, n, coef=2.0, noise=1e-6):
+    """(x, y) as ``collect_samples`` gives them, for n samples whose
+    increment is ``coef`` times the density delta plus Gaussian noise."""
+    deltas, y = [], []
     for _ in range(n):
-        d_size, d_dens, d_clust, d_trans = rng.normal(size=4)
-        d_emd = coef * d_dens + rng.normal() * noise
-        samples.append(RegressionSample(d_emd, d_size, d_dens, d_clust,
-                                        d_trans))
-    return samples
+        deltas.append(rng.normal(size=4))
+        y.append(coef * deltas[-1][1] + rng.normal() * noise)
+    return np.column_stack([np.ones(n), np.array(deltas)]), np.array(y)
 
 
 class TestCollectSamples:
@@ -32,16 +33,35 @@ class TestCollectSamples:
         rows = [(0, 0.0, None, 30, 0.1, 0.2, 0.3)]
         for k in range(1, 5):
             rows.append((k, 0.1 * k, 0.1, 30 - k, 0.1, 0.2, 0.3))
-        samples = collect_samples([report_with_features(rows)])
-        assert len(samples) == 4
+        x, y, sources = collect_samples([report_with_features(rows)])
+        assert x.shape == (4, len(FEATURE_NAMES))
+        assert len(y) == len(sources) == 4
 
     def test_constant_features_zero_deltas(self):
         rows = [(0, 0.0, None, 10, 0.5, 0.5, 0.5),
                 (1, 0.2, 0.2, 10, 0.5, 0.5, 0.5)]
-        sample = collect_samples([report_with_features(rows)])[0]
-        assert sample.d_size == 0.0
-        assert sample.d_edge_density == 0.0
-        assert sample.d_emd == pytest.approx(0.2)
+        x, y, _ = collect_samples([report_with_features(rows)])
+        assert x[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert y[0] == pytest.approx(0.2)
+
+    def test_columns_follow_feature_fields(self):
+        # FEATURE_NAMES[1:] labels the deltas of these fields, in this order
+        assert [f.name for f in fields(SubgraphFeatures)] == [
+            "size", "edge_density", "avg_clustering_coefficient",
+            "transitivity"]
+        assert FEATURE_NAMES == ("intercept", "d_size", "d_edge_density",
+                                 "d_clustering_coefficient", "d_transitivity")
+        rows = [(0, 0.0, None, 40, 0.1, 0.2, 0.3),
+                (2, 0.5, 0.5, 30, 0.15, 0.1, 0.35),
+                (3, 0.4, -0.1, 12, 0.5, 0.6, 0.25)]
+        x, y, sources = collect_samples(
+            [report_with_features(rows, dataset="d", dim=None)])
+        for i, (prev, cur) in enumerate(zip(rows, rows[1:])):
+            want = [1.0] + [c - p for p, c in zip(prev[3:], cur[3:])]
+            assert x[i].tolist() == want
+            assert y[i] == cur[2]
+            assert sources[i] == {"dataset": "d", "algorithm": "line1",
+                                  "dim": None, "k": cur[0]}
 
     def test_short_report_rejected(self):
         rows = [(0, 0.0, None, 10, 0.5, 0.5, 0.5)]
@@ -57,13 +77,16 @@ class TestCollectSamples:
                 rows.append((k, 0.1 * k, 0.1, 10 - k, 0.1, 0.1, 0.1))
             reports.append(report_with_features(rows, dataset=f"g{i}"))
             total += nrec - 1
-        assert len(collect_samples(reports)) == total
+        x, y, sources = collect_samples(reports)
+        assert len(x) == len(y) == len(sources) == total
+        assert [s["dataset"] for s in sources] == ["g0"] * 2 + ["g1"] * 4 + [
+            "g2"]
 
 
 class TestOlsFit:
     def test_planted_density_coefficient(self):
         rng = np.random.default_rng(0)
-        fit = ols_fit(planted_samples(rng, 200))
+        fit = ols_fit(*planted(rng, 200))
         assert fit.coefficients[2] == pytest.approx(2.0, abs=1e-3)
         for idx in (0, 1, 3, 4):
             assert abs(fit.coefficients[idx]) < 1e-3
@@ -71,7 +94,7 @@ class TestOlsFit:
 
     def test_ci_bounds_bracket_estimates(self):
         rng = np.random.default_rng(1)
-        fit = ols_fit(planted_samples(rng, 50, noise=0.1))
+        fit = ols_fit(*planted(rng, 50, noise=0.1))
         assert (fit.ci_lower <= fit.coefficients).all()
         assert (fit.coefficients <= fit.ci_upper).all()
 
@@ -79,7 +102,7 @@ class TestOlsFit:
         from scipy.stats import t
         rng = np.random.default_rng(4)
         for n in (6, 7, 10, 40, 300):
-            fit = ols_fit(planted_samples(rng, n, noise=0.1))
+            fit = ols_fit(*planted(rng, n, noise=0.1))
             crit = t.ppf(0.975, n - 5)
             assert np.array_equal(fit.ci_lower,
                                   fit.coefficients - crit * fit.std_errors)
@@ -91,11 +114,7 @@ class TestOlsFit:
         contains = 0
         total = 0
         for _ in range(50):
-            samples = []
-            for _ in range(1000):
-                x = rng.normal(size=4)
-                samples.append(RegressionSample(rng.normal(), *x))
-            fit = ols_fit(samples)
+            fit = ols_fit(*planted(rng, 1000, coef=0.0, noise=1.0))
             for j in range(5):
                 total += 1
                 if fit.ci_lower[j] <= 0.0 <= fit.ci_upper[j]:
@@ -105,18 +124,16 @@ class TestOlsFit:
     def test_matches_qr_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            samples = planted_samples(rng, 100, noise=0.5)
-            x, y = design_matrix(samples)
+            x, y = planted(rng, 100, noise=0.5)
             q, r = np.linalg.qr(x)
             beta_qr = np.linalg.solve(r, q.T @ y)
-            fit = ols_fit(samples)
+            fit = ols_fit(x, y)
             assert np.allclose(fit.coefficients, beta_qr, atol=1e-8)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(4)
-        samples = planted_samples(rng, 80, noise=0.3)
-        x, y = design_matrix(samples)
-        fit = ols_fit(samples)
+        x, y = planted(rng, 80, noise=0.3)
+        fit = ols_fit(x, y)
         resid = y - x @ fit.coefficients
         for j in range(x.shape[1]):
             bound = 1e-8 * np.linalg.norm(resid) * np.linalg.norm(x[:, j])
@@ -124,18 +141,17 @@ class TestOlsFit:
 
     def test_order_invariant(self):
         rng = np.random.default_rng(5)
-        samples = planted_samples(rng, 60, noise=0.2)
-        fit_a = ols_fit(samples)
-        fit_b = ols_fit(list(reversed(samples)))
+        x, y = planted(rng, 60, noise=0.2)
+        fit_a = ols_fit(x, y)
+        fit_b = ols_fit(x[::-1], y[::-1])
         assert np.allclose(fit_a.coefficients, fit_b.coefficients)
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="at least"):
-            ols_fit(planted_samples(rng, 5))
+            ols_fit(*planted(rng, 5))
 
     def test_rank_deficiency(self):
-        samples = [RegressionSample(1.0, 0.0, 0.0, 0.0, 0.0)
-                   for _ in range(10)]
+        x = np.column_stack([np.ones(10), np.zeros((10, 4))])
         with pytest.raises(ValueError, match="rank"):
-            ols_fit(samples)
+            ols_fit(x, np.ones(10))

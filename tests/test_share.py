@@ -6,9 +6,8 @@ from corestab.graph import Graph
 from corestab.share import (ShareEmbedderError, ShareReport, emd_1d,
                             max_instability_shell, pairwise_distribution,
                             run_share)
-from corestab.synth import desk_graph
 
-from conftest import complete_graph, emd_lp
+from conftest import complete_graph, desk_graph, emd_lp
 
 
 class TestPairwiseDistribution:

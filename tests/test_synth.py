@@ -3,7 +3,9 @@ import pytest
 from scipy.stats import binom, chisquare
 
 from corestab.graph import core_decomposition
-from corestab.synth import GenSpec, desk_graph, generate
+from corestab.synth import GenSpec, generate
+
+from conftest import desk_graph
 
 
 class TestGenSpec:
