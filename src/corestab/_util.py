@@ -1,5 +1,5 @@
-"""Shared helpers: seed derivation, stable serialization, JSON field checks,
-atomic file writes.
+"""Shared helpers: seed derivation, the sigmoid, stable serialization, JSON
+field checks, atomic file writes.
 
 ``write_csv`` turns float64 columns into text with a numpy kernel whose
 output is byte for byte ``repr`` of each value.  It scales x by
@@ -62,6 +62,18 @@ def derive_seed(*parts):
     """
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)) elementwise, into ``out`` if given (``x`` itself
+    too), which allocates nothing.  Unclipped: x < -709 overflows exp and
+    gives 0, +inf and -inf give 1 and 0, and NaN stays NaN."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def json_dumps_stable(obj):

@@ -12,9 +12,8 @@ from scipy.linalg import eigh
 from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-from scipy.special import expit
 
-from ._util import json_fields, write_atomic, write_csv
+from ._util import json_fields, sigmoid, write_atomic, write_csv
 
 LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
@@ -200,6 +199,12 @@ class AliasTable:
         return np.where(accept, k, self.alias[k])
 
 
+def _line_samplers(g):
+    """The alias tables LINE draws from: edges in proportion to weight, and
+    noise nodes in proportion to weighted degree to the power 3/4."""
+    return AliasTable(g.weights), AliasTable(np.power(g.weighted_degrees, 0.75))
+
+
 def line_positive_coefficient(u_i, u_j, out=None):
     """Scale s = sigma(u_i . u_j) - 1 of the gradients of
     -log sigma(u_i . u_j): s u_j w.r.t. u_i and s u_i w.r.t. u_j.
@@ -207,7 +212,7 @@ def line_positive_coefficient(u_i, u_j, out=None):
     One scale per row of the batch; ``out``, if given, receives it and
     nothing is allocated.
     """
-    s = expit(np.einsum("...d,...d->...", u_i, u_j, out=out), out=out)
+    s = sigmoid(np.einsum("...d,...d->...", u_i, u_j, out=out), out=out)
     return np.subtract(s, 1.0, out=out)
 
 
@@ -221,7 +226,7 @@ def line_negative_coefficient(u_i, u_negs, mask=None, out=None):
     otherwise repel the very pair being attracted.  ``out``, if given,
     receives the scales and nothing is allocated.
     """
-    s = expit(np.einsum("...d,...kd->...k", u_i, u_negs, out=out), out=out)
+    s = sigmoid(np.einsum("...d,...kd->...k", u_i, u_negs, out=out), out=out)
     return s if mask is None else np.multiply(s, mask, out=out)
 
 
@@ -398,8 +403,7 @@ def line1_embed(g, spec, seed=0):
     rng = np.random.default_rng(seed)
     n, dim = g.n, spec.dim
     emb = (rng.random((n, dim)) - 0.5) / dim
-    edge_sampler = AliasTable(g.weights)
-    noise = AliasTable(np.power(g.weighted_degrees, 0.75))
+    edge_sampler, noise = _line_samplers(g)
     ws = _SGDWorkspace(spec.negatives, dim)
     for t in range(spec.batches):
         _line_updates(emb, g, edge_sampler, noise, rng, g.m, spec.negatives,
@@ -412,7 +416,7 @@ def line_base_loss(g, emb):
     if g.m == 0:
         return 0.0
     dots = np.einsum("ed,ed->e", emb[g.edges[:, 0]], emb[g.edges[:, 1]])
-    logp = np.log(np.maximum(expit(dots), 1e-300))
+    logp = np.log(np.maximum(sigmoid(dots, out=dots), 1e-300))
     return float(-(g.weights * logp).sum())
 
 

@@ -16,17 +16,15 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from ._util import derive_seed, json_fields
-from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, AliasTable,
-                    EmbedSpec, _gather, _line_updates, _SGDWorkspace,
+from ._util import derive_seed, json_fields, sigmoid
+from .embed import (_CHUNK, LAPLACIAN_EIGENMAPS, LINE1, EmbedSpec, _gather,
+                    _line_samplers, _line_updates, _SGDWorkspace,
                     apply_coefficients, embed_graph, line_base_loss)
 from .graph import core_decomposition
 
 log = logging.getLogger(__name__)
 
-_DOT_CLIP = 35.0
 _GAP_BLOCK = 512  # core rows per block of proximity gaps
 
 
@@ -44,10 +42,11 @@ class StableConfig:
 
     ``alpha`` scales the stability penalty, and defaults to the base's
     ``DEFAULT_ALPHA``; ``gamma`` and ``beta`` balance the spectral base's
-    edge-attraction and anchor terms and are ignored by the SGD base.
-    Gradient expressions drop constant factors of 2, which are absorbed into
-    ``lr`` and ``alpha``.  The seed is not part of the config: ``stable_train``
-    takes it.
+    edge-attraction and anchor terms and are ignored by the SGD base.  The
+    ``EmbedSpec`` ``spec``, built from the other fields, checks them and
+    embeds the isolated core.  Gradient expressions drop constant factors
+    of 2, which are absorbed into ``lr`` and ``alpha``.  The seed is not
+    part of the config: ``stable_train`` takes it.
     """
     base: str
     dim: int = 10
@@ -64,16 +63,12 @@ class StableConfig:
     def __post_init__(self):
         if self.base not in (LINE1, LAPLACIAN_EIGENMAPS):
             raise ValueError(f"unknown base {self.base!r}")
+        self.spec = EmbedSpec(self.base, self.dim, self.batches,
+                              self.negatives, self.lr)
         if self.alpha is None:
             self.alpha = self.DEFAULT_ALPHA[self.base]
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.batches < 1:
-            raise ValueError("batches must be >= 1")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if self.base == LAPLACIAN_EIGENMAPS:
             if self.gamma <= 0:
                 raise ValueError("gamma must be positive for the spectral base")
@@ -98,13 +93,6 @@ class StableResult:
     initial: np.ndarray           # embedding before stabilized training
 
 
-def _clipped_sigmoid_rows(a, b):
-    # overflow to inf is fine: the clip lands it on the saturation bound
-    with np.errstate(over="ignore"):
-        dots = np.einsum("...d,...d->...", a, b)
-    return expit(np.clip(dots, -_DOT_CLIP, _DOT_CLIP))
-
-
 def isolated_core_embedding(g, cm, spec, seed=0):
     """Embed the induced subgraph on the degenerate core with the base
     engine and ``seed``.
@@ -120,7 +108,7 @@ def isolated_core_embedding(g, cm, spec, seed=0):
 
 def stability_coefficient(u_i, u_j, s_hat):
     """Penalty gradient scale s (1 - s) (s - s_hat), s = sigma(u_i.u_j)."""
-    s = _clipped_sigmoid_rows(u_i, u_j)
+    s = sigmoid(np.einsum("...d,...d->...", u_i, u_j))
     return s * (1.0 - s) * (s - s_hat)
 
 
@@ -143,8 +131,8 @@ def _penalty_step(emb, ref, core, pos_i, pos_j, scale, ws):
     np.take(core, pos_i, out=ids[1], mode="clip")
     g = _gather(emb, ids, ws.gathered[:2 * c].reshape(2, c, -1))
     r = ws.gathered[2 * c:4 * c].reshape(2, c, -1)
-    s_hat = _clipped_sigmoid_rows(_gather(ref, pos_i, r[0]),
-                                  _gather(ref, pos_j, r[1]))
+    s_hat = sigmoid(np.einsum("...d,...d->...", _gather(ref, pos_i, r[0]),
+                              _gather(ref, pos_j, r[1])))
     data = ws.data[:2 * c].reshape(2, c)
     data[0] = stability_coefficient(g[1], g[0], s_hat)
     data[0] *= -scale
@@ -198,12 +186,10 @@ def _gap_blocks(core_emb, core_ref):
     for lo in range(0, k, _GAP_BLOCK):
         hi = min(k, lo + _GAP_BLOCK)
         with np.errstate(over="ignore"):
-            p = np.clip((core_emb[lo:hi] @ core_emb.T)[:, lo:],
-                        -_DOT_CLIP, _DOT_CLIP)
-            p_ref = np.clip((core_ref[lo:hi] @ core_ref.T)[:, lo:],
-                            -_DOT_CLIP, _DOT_CLIP)
-        p = expit(p, out=p)
-        p -= expit(p_ref, out=p_ref)
+            p = (core_emb[lo:hi] @ core_emb.T)[:, lo:]
+            p_ref = (core_ref[lo:hi] @ core_ref.T)[:, lo:]
+        sigmoid(p, out=p)
+        p -= sigmoid(p_ref, out=p_ref)
         p *= p
         # row-major boolean indexing keeps the pairs (r, c), c > r, in order
         yield p[np.arange(hi - lo)[:, None] < np.arange(k - lo)]
@@ -264,12 +250,9 @@ def stable_train(g, cfg, seed=0):
     # the isolated-core reference is the training target: embed it fully;
     # the full-graph embedding only initializes, so the SGD base gets a
     # short schedule and keeps improving during the stabilized pass
-    ref_spec = EmbedSpec(cfg.base, cfg.dim, batches=cfg.batches,
-                         negatives=cfg.negatives, lr=cfg.lr)
-    init_spec = EmbedSpec(cfg.base, cfg.dim,
-                          batches=max(1, cfg.batches // 5),
-                          negatives=cfg.negatives, lr=cfg.lr)
-    ref = isolated_core_embedding(g, cm, ref_spec,
+    init_spec = EmbedSpec(cfg.base, cfg.dim, max(1, cfg.batches // 5),
+                          cfg.negatives, cfg.lr)
+    ref = isolated_core_embedding(g, cm, cfg.spec,
                                   derive_seed(seed, "isolated-core"))
     emb = np.array(embed_graph(g, init_spec, derive_seed(seed, "full-init")))
     init = emb.copy()
@@ -278,8 +261,7 @@ def stable_train(g, cfg, seed=0):
     draws = m + k * (k - 1) // 2
     is_line = cfg.base == LINE1
     if is_line:
-        edge_sampler = AliasTable(weights)
-        noise = AliasTable(np.power(g.weighted_degrees, 0.75))
+        edge_sampler, noise = _line_samplers(g)
     rng_draws = np.random.default_rng(derive_seed(seed, "edge-stream"))
     rng_negs = np.random.default_rng(derive_seed(seed, "noise-stream"))
     ws = _SGDWorkspace(cfg.negatives, cfg.dim)

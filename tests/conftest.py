@@ -323,17 +323,21 @@ def line_step_oracle(emb, src, ctx, negs, lr):
 
     The same operations in the same order as ``_line_step``: one gather of
     each edge's rows [u_i | u_j | u_negs], the coefficients [s_pos | s_neg]
-    on those pre-step rows with noise draws that hit an endpoint masked,
-    and the coefficient matrix M applied in place, one entry at a time in
-    CSC entry order.  Per edge, M's u_i column gives row ctx and the noise
-    rows their coefficients, and every other column gives row src its own.
+    on those pre-step rows, with sigma spelled out as 1 / (1 + exp(-x)) and
+    noise draws that hit an endpoint masked, and the coefficient matrix M
+    applied in place, one entry at a time in CSC entry order.  Per edge,
+    M's u_i column gives row ctx and the noise rows their coefficients, and
+    every other column gives row src its own.
     """
+    def sigma(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
     dim = emb.shape[1]
     c, k = negs.shape
     mask = (negs != src[:, None]) & (negs != ctx[:, None])
     g = emb[np.column_stack([src, ctx, negs])]
-    s_pos = expit(np.einsum("...d,...d->...", g[:, 0], g[:, 1])) - 1.0
-    s_neg = expit(np.einsum("...d,...kd->...k", g[:, 0], g[:, 2:])) * mask
+    s_pos = sigma(np.einsum("...d,...d->...", g[:, 0], g[:, 1])) - 1.0
+    s_neg = sigma(np.einsum("...d,...kd->...k", g[:, 0], g[:, 2:])) * mask
     data = np.tile(np.column_stack([-lr * s_pos, -lr * s_neg]), 2)
     rows = np.column_stack([ctx, negs, np.repeat(src[:, None], 1 + k, 1)])
     col = np.repeat(np.arange(c * (2 + k)),

@@ -459,8 +459,11 @@ def run_with_config_text(tmp_path, command, flag, text):
 def assert_config_refused(tmp_path, caplog, command, flag, text, cause):
     with caplog.at_level("ERROR"):
         code, path = run_with_config_text(tmp_path, command, flag, text)
+    # the message opens with the file, and nothing is written
     assert code == 2
-    assert f"{path}: {cause}" in caplog.text
+    assert any(r.getMessage().startswith(f"{path}: {cause}")
+               for r in caplog.records)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text,cause", [
@@ -493,6 +496,8 @@ def test_embedder_config_types_exit_2(tmp_path, caplog, text, cause):
     ('{"base": "line1", "gamma": false}',
      "key 'gamma' must be a finite number, got False"),
     ('["line1"]', "expected a JSON object, got list"),
+    ('{"base": "line1", "negatives": 0}', "negatives must be >= 1"),
+    ('{"base": "line1", "negatives": -3}', "negatives must be >= 1"),
 ])
 def test_stable_config_types_exit_2(tmp_path, caplog, text, cause):
     assert_config_refused(tmp_path, caplog, "stable", "--config", text, cause)

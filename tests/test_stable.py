@@ -92,7 +92,7 @@ class TestInstabilityPenalty:
         want = []
         for lo in range(0, k, 512):
             hi = min(k, lo + 512)
-            p, q = (expit(np.clip(x[lo:hi] @ x.T, -35.0, 35.0))
+            p, q = (1.0 / (1.0 + np.exp(-(x[lo:hi] @ x.T)))
                     for x in (emb, ref))
             want.append(((p - q) ** 2)[np.arange(lo, hi)[:, None]
                                        < np.arange(k)])
@@ -253,6 +253,11 @@ class TestStableConfig:
             StableConfig(base="line1", alpha=-1)
         with pytest.raises(ValueError):
             StableConfig(base="laplacian_eigenmaps", gamma=0.0)
+        # the SGD fields are checked by the EmbedSpec the config trains with
+        for bad in ({"negatives": 0}, {"dim": 0}, {"lr": 0.0},
+                    {"batches": 0}):
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
+                StableConfig("line1", **bad)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError,

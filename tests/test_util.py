@@ -1,9 +1,11 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from corestab._util import _PIECE_ROWS, write_atomic, write_csv
+from corestab._util import _PIECE_ROWS, sigmoid, write_atomic, write_csv
 
 from conftest import read_text, write_csv_oracle
 
@@ -17,6 +19,31 @@ def assert_floats_as_repr(tmp_path, values):
     want = list(map(repr, values.tolist()))
     wrong = [(w, g) for w, g in zip(want, got) if w != g]
     assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+class TestSigmoid:
+    def test_matches_expit(self):
+        # three roundings (exp, the sum, the reciprocal) and exp's own
+        # error: the largest seen is 2.3 eps, near x = -37
+        x = np.linspace(-700.0, 700.0, 1_400_001)
+        want = expit(x)
+        assert np.max(np.abs(sigmoid(x) - want) / want) <= 3 * np.finfo(
+            np.float64).eps
+
+    def test_saturates_without_warning(self):
+        x = np.array([-745.5, -1e300, -np.inf, np.inf, np.nan, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        assert got[3] == 1.0 and np.isnan(got[4]) and got[5] == 0.5
+
+    def test_in_place(self):
+        x = np.random.default_rng(5).normal(size=(7, 3)) * 50
+        want = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, want)
+        assert sigmoid(2.0) == sigmoid(np.array([2.0]))[0]
 
 
 class TestFloatKernel:
