@@ -2,6 +2,7 @@
 normalized Laplacian, and first-order edge-sampling SGD with negative sampling.
 """
 
+import logging
 import math
 import struct
 from dataclasses import asdict, dataclass
@@ -15,6 +16,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from ._util import json_fields, sigmoid, write_atomic, write_csv
 
+log = logging.getLogger(__name__)
+
 LAPLACIAN_EIGENMAPS = "laplacian_eigenmaps"
 LINE1 = "line1"
 ALGORITHMS = (LAPLACIAN_EIGENMAPS, LINE1)
@@ -24,6 +27,9 @@ ALGORITHMS = (LAPLACIAN_EIGENMAPS, LINE1)
 _EIGVAL_TOL = 1e-8
 # largest relative residual and D-orthonormality error accepted from a solve
 _EIG_TOL = 1e-6
+# graphs this small are solved densely: with one BLAS thread, dense beat
+# Lanczos and probes up to 625 nodes and lost from 752 (table in CHANGES.md)
+_DENSE_MAX_N = 650
 _CHUNK = 4096
 
 EMBEDDING_MAGIC = b"CRSTEMB1"
@@ -77,20 +83,46 @@ def _sign_canonical(vecs):
     return vecs * signs
 
 
+def _shifted(norm, z, labels, comps, y):
+    """N - 3 Z'Z - 3 YY' as a LinearOperator: N = ``norm``, Z's rows the zero
+    modes (``z`` on each component in ``labels``), Y = ``y``.  N x goes into
+    one buffer per operator (ARPACK copies it out); on a connected graph z
+    joins y as a column, so no n-vector is allocated."""
+    n = norm.shape[0]
+    out, tmp = np.empty(n), np.empty(n)
+    basis = np.column_stack([z, y]) if comps == 1 else y
+
+    def matvec(x):
+        x = np.ravel(x)
+        out.fill(0.0)
+        _sparsetools.csr_matvec(n, n, norm.indptr, norm.indices, norm.data,
+                                x, out)
+        if comps > 1:  # zero.T @ (zero @ x), summed per component
+            zx = np.bincount(labels, z * x, comps)[labels]
+            np.subtract(out, 3.0 * z * zx, out=out)
+        if basis.shape[1]:
+            np.subtract(out, np.matmul(basis, 3.0 * (basis.T @ x), out=tmp),
+                        out=out)
+        return out
+
+    return LinearOperator((n, n), dtype=np.float64, matvec=matvec)
+
+
 def laplacian_eigenmaps(g, dim, seed=0):
     """Spectral embedding from the random-walk normalized Laplacian.
 
     L_rw x = lambda x is N y = (1 - lambda) y with N = D^-1/2 A D^-1/2 and
     x = D^-1/2 y.  N has eigenvalue 1 on D^1/2 1_C for each component C;
     with those shifted below N's spectrum, its ``dim`` largest eigenpairs
-    give the embedding.  Lanczos finds them with sparse matvecs, its start
-    and restart vectors drawn from ``seed``; one-pair probes then swap in
-    any larger pair it missed (a copy of a repeated eigenvalue).  A dense
-    ``eigh`` of just those pairs runs only where Lanczos cannot, at dim +
-    components >= n - 1.  Every solve must give zero eigenvalues below 1e-8
-    per component and a relative residual ||Lx - lambda Dx||/||Dx|| and
-    D-orthonormality error of at most 1e-6, and an ARPACK failure is an
-    error too: ``EigensolverError``.  Column signs are canonical.
+    give the embedding.  A dense ``eigh`` of just those pairs solves graphs
+    of at most ``_DENSE_MAX_N`` nodes, and those where Lanczos cannot, at
+    dim + components >= n - 1.  Otherwise Lanczos finds them to tol 1e-10,
+    its start and restart vectors drawn from ``seed``; one-pair probes then
+    swap in any larger pair it missed (a copy of a repeated eigenvalue).
+    Every solve must give zero eigenvalues below 1e-8 per component and a
+    relative residual ||Lx - lambda Dx||/||Dx|| and D-orthonormality error
+    of at most 1e-6 (logged at DEBUG with the path), and an ARPACK failure
+    is an error too: ``EigensolverError``.  Column signs are canonical.
     """
     n = g.n
     wdeg = g.weighted_degrees
@@ -106,7 +138,10 @@ def laplacian_eigenmaps(g, dim, seed=0):
         raise ValueError(
             f"dim={dim} not in [1, {usable}] (n={n} minus {comps} component(s))")
     inv_sqrt = 1.0 / np.sqrt(wdeg)
-    norm = (sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)).tocsr()
+    # D^-1/2 A D^-1/2 on adj's own index arrays: entry (i, j) is w s_i s_j
+    norm = sp.csr_matrix(
+        (weights * np.repeat(inv_sqrt, np.diff(indptr)) * inv_sqrt[nbrs],
+         adj.indices, adj.indptr), shape=(n, n))
     # row C of zero is component C's unit zero mode, D^1/2 1_C / sqrt(vol C)
     z = np.sqrt(wdeg / np.bincount(labels, wdeg)[labels])
     zero = sp.csr_matrix((z, (labels, np.arange(n))), shape=(comps, n))
@@ -116,33 +151,23 @@ def laplacian_eigenmaps(g, dim, seed=0):
             "expected one ~0 eigenvalue per component, got "
             f"{zero_vals!r} for {comps} component(s)")
 
-    def shifted(y):  # N with the zero modes and y's columns moved to -2
-        def matvec(x):
-            # scipy's compiled CSR kernel, the one ``norm @ x`` runs, without
-            # its per-call dispatch; the bincount is zero.T @ (zero @ x)
-            # summed in the same order
-            x = np.ravel(x)
-            out = np.zeros(n)
-            _sparsetools.csr_matvec(n, n, norm.indptr, norm.indices,
-                                    norm.data, x, out)
-            out -= 3.0 * (z * np.bincount(labels, z * x, comps)[labels]
-                          + y @ (y.T @ x))
-            return out
-        return LinearOperator(norm.shape, dtype=np.float64, matvec=matvec)
-
-    if dim + comps < n - 1:
+    probes = 0
+    if n > _DENSE_MAX_N and dim + comps < n - 1:
         rng = np.random.default_rng(seed)
         try:
-            mu, y = eigsh(shifted(np.empty((n, 0))), k=dim, which="LA",
-                          ncv=2 * dim + 20, v0=rng.standard_normal(n), rng=rng)
+            # tol: every pair is checked to 1e-6 below
+            mu, y = eigsh(_shifted(norm, z, labels, comps, np.empty((n, 0))),
+                          k=dim, which="LA", tol=1e-10, ncv=2 * dim + 20,
+                          v0=rng.standard_normal(n), rng=rng)
             # a probe yields the top pair left once those found are shifted
             # too; above the smallest found it replaces it (tol: rounding in
             # the operator bars machine precision).  Both ncv values exceed
             # ARPACK's default, max(2k + 1, 20), and save about a fifth of
             # the operator products.
-            for _ in range(dim + 1):
-                top, extra = eigsh(shifted(y), k=1, which="LA", tol=1e-12,
-                                   ncv=40, v0=rng.standard_normal(n), rng=rng)
+            for probes in range(1, dim + 2):
+                top, extra = eigsh(_shifted(norm, z, labels, comps, y), k=1,
+                                   which="LA", tol=1e-12, ncv=40,
+                                   v0=rng.standard_normal(n), rng=rng)
                 if top[0] <= mu.min() + _EIGVAL_TOL:
                     break
                 keep = np.argsort(mu)[1:]
@@ -153,8 +178,9 @@ def laplacian_eigenmaps(g, dim, seed=0):
             raise EigensolverError(
                 f"Lanczos failed for dim={dim} on n={n} graph: {exc}") from exc
     else:
-        mu, y = eigh(norm.toarray() - 3.0 * (zero.T @ zero).toarray(),
-                     subset_by_index=[n - dim, n - 1])
+        full, zcols = norm.toarray(), zero.T.toarray()
+        full -= zcols @ (3.0 * zcols.T)
+        mu, y = eigh(full, overwrite_a=True, subset_by_index=[n - dim, n - 1])
     order = np.argsort(-mu)
     vals = 1.0 - mu[order]
     vecs = inv_sqrt[:, None] * y[:, order]
@@ -163,6 +189,9 @@ def laplacian_eigenmaps(g, dim, seed=0):
                       / np.linalg.norm(dvecs, axis=0))
     ortho = max(np.max(np.abs(vecs.T @ dvecs - np.eye(dim))),
                 np.max(np.abs(zero @ y)))
+    log.debug("eigensolve path=%s n=%d dim=%d components=%d probes=%d "
+              "residual=%.3g ortho=%.3g", "lanczos" if probes else "dense",
+              n, dim, comps, probes, residual, ortho)
     if not (residual <= _EIG_TOL and ortho <= _EIG_TOL):
         raise EigensolverError(
             f"eigenpairs for dim={dim} on n={n} graph are inaccurate: "

@@ -107,7 +107,8 @@ class Graph:
         nodes = np.flatnonzero(keep)
         if self.m:
             mask = keep[self.edges[:, 0]] & keep[self.edges[:, 1]]
-            sub_edges = np.searchsorted(nodes, self.edges[mask])
+            # a kept id's new label is the count of kept ids below it
+            sub_edges = (np.cumsum(keep) - 1)[self.edges[mask]]
             sub_w = self.weights[mask]
         else:
             sub_edges = np.zeros((0, 2), dtype=np.int64)

@@ -377,6 +377,7 @@ class TestStable:
             return vals, vecs * 1.01
 
         monkeypatch.setattr(em, "eigsh", perturbed)
+        monkeypatch.setattr(em, "_DENSE_MAX_N", 0)  # the desk graph is small
         assert main(["stable", "--graph", graph, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
         assert calls

@@ -1,14 +1,17 @@
+import logging
 import re
 import struct
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from scipy.special import expit
 
-from corestab.embed import (_CHUNK, AliasTable, EigensolverError, EmbedSpec,
-                            _line_step, _SGDWorkspace, apply_coefficients,
+from corestab.embed import (_CHUNK, _DENSE_MAX_N, AliasTable,
+                            EigensolverError, EmbedSpec, _line_step,
+                            _SGDWorkspace, _shifted, apply_coefficients,
                             laplacian_eigenmaps, line1_embed,
                             line_negative_coefficient,
                             line_positive_coefficient, load_embedding_csv,
@@ -110,6 +113,22 @@ class TestCliqueSpectrum:
         assert [m for _, m in grouped] == [2, 2]
 
 
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """Send every graph down the Lanczos path, however small, and record
+    the ``k`` of each ``eigsh`` call, so a test can assert that path ran."""
+    import corestab.embed as em
+    real, calls = em.eigsh, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(em, "_DENSE_MAX_N", 0)
+    monkeypatch.setattr(em, "eigsh", counting)
+    return calls
+
+
 class TestLaplacianEigenmaps:
     def test_single_edge_direction(self):
         emb = laplacian_eigenmaps(Graph(2, [[0, 1]]), 1)
@@ -158,7 +177,8 @@ class TestLaplacianEigenmaps:
         b = laplacian_eigenmaps(karate, 5, seed=3)
         assert np.array_equal(a, b)
 
-    def test_sparse_path_matches_dense(self, karate, monkeypatch):
+    def test_sparse_path_matches_dense(self, karate, monkeypatch,
+                                       lanczos_calls):
         # Lanczos on D^-1/2 A D^-1/2 against a dense generalized solve, on
         # connected, weighted, bridged-clique, disconnected and large graphs
         import corestab.embed as em
@@ -176,7 +196,9 @@ class TestLaplacianEigenmaps:
         cases = [(karate, 4), (er, 4), (weighted, 4),
                  (two_cliques_bridged(30), 1), (three, 3), (large, 4)]
         for g, dim in cases:
+            lanczos_calls.clear()
             emb = laplacian_eigenmaps(g, dim, seed=1)
+            assert lanczos_calls[0] == dim, g.n
             vals = rayleigh_eigenvalues(g, emb)
             want_emb, want_vals = dense_eigenmaps_oracle(g, dim)
             assert np.abs(vals - want_vals).max() <= 1e-10, g.n
@@ -185,19 +207,14 @@ class TestLaplacianEigenmaps:
             flip = np.sign(np.sum(emb * want_emb, axis=0))
             assert np.abs(emb * flip - want_emb).max() <= 1e-8, g.n
 
-    def test_repeated_eigenvalues_all_found(self, monkeypatch):
+    def test_repeated_eigenvalues_all_found(self, monkeypatch,
+                                            lanczos_calls):
         # Lanczos misses copies of a repeated eigenvalue (hypercube Q7 at
         # dim 20, whose 4/7 has 21 copies); the probes must find them
         # without a dense solve, also on spectra of few distinct values
         # (equal cliques)
         import corestab.embed as em
-        real_eigsh, calls = em.eigsh, []
-
-        def counting_eigsh(*args, **kwargs):
-            calls.append(kwargs["k"])
-            return real_eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(em, "eigsh", counting_eigsh)
+        calls = lanczos_calls
         monkeypatch.setattr(em, "eigh", None)
         cube = Graph(128, [(i, i ^ (1 << b)) for i in range(128)
                            for b in range(7) if i < i ^ (1 << b)])
@@ -221,7 +238,7 @@ class TestLaplacianEigenmaps:
         # a missed pair
         assert most_calls > 2
 
-    def test_deterministic_on_repeated_spectrum(self):
+    def test_deterministic_on_repeated_spectrum(self, lanczos_calls):
         # ARPACK restarts from a random vector when its Krylov space closes
         # early (ten 12-cycles at dim 5, seed 1); that vector must come from
         # the seed, not from the fresh entropy eigsh draws without an rng
@@ -229,10 +246,12 @@ class TestLaplacianEigenmaps:
         g = disjoint_union(*[cycle] * 10)
         for seed in (0, 1, 2):
             a = laplacian_eigenmaps(g, 5, seed=seed)
+            assert lanczos_calls
             for _ in range(3):
                 assert np.array_equal(a, laplacian_eigenmaps(g, 5, seed=seed))
 
-    def test_missed_pair_swapped_in(self, karate, monkeypatch):
+    def test_missed_pair_swapped_in(self, karate, monkeypatch,
+                                    lanczos_calls):
         # a block solve that returns eigenpairs 2..dim+1 instead of 1..dim,
         # as when Lanczos misses a copy: the probe must swap the top one in
         import corestab.embed as em
@@ -247,11 +266,13 @@ class TestLaplacianEigenmaps:
         want_emb, want_vals = dense_eigenmaps_oracle(karate, 4)
         monkeypatch.setattr(em, "eigsh", missing_top)
         emb = laplacian_eigenmaps(karate, 4, seed=1)
+        assert lanczos_calls[0] == 5
         vals = rayleigh_eigenvalues(karate, emb)
         assert np.abs(vals - want_vals).max() <= 1e-10
         assert np.abs(emb - want_emb).max() <= 1e-8
 
-    def test_zero_mode_in_basis_rejected(self, karate, monkeypatch):
+    def test_zero_mode_in_basis_rejected(self, karate, monkeypatch,
+                                         lanczos_calls):
         # an exact eigenpair, but the zero mode the solve must leave out
         import corestab.embed as em
         real = em.eigsh
@@ -267,6 +288,7 @@ class TestLaplacianEigenmaps:
         monkeypatch.setattr(em, "eigsh", leaky)
         with pytest.raises(EigensolverError, match="inaccurate") as info:
             laplacian_eigenmaps(karate, 4, seed=1)
+        assert lanczos_calls[0] == 4
         residual, ortho = [float(x) for x in re.findall(
             r"= ([0-9.e+-]+)", str(info.value))]
         assert residual <= 1e-6 and ortho == pytest.approx(1.0)
@@ -292,6 +314,7 @@ class TestLaplacianEigenmaps:
                                       np.empty((op.shape[0], 0)))
 
         monkeypatch.setattr(em, "eigsh", failing)
+        monkeypatch.setattr(em, "_DENSE_MAX_N", 0)
         with pytest.raises(EigensolverError, match="Lanczos failed"):
             laplacian_eigenmaps(karate, 4)
         assert sizes == [4]  # no probe after a failed block solve
@@ -332,12 +355,15 @@ class TestLaplacianEigenmaps:
 
     @pytest.mark.parametrize("part", ["residual", "ortho"])
     def test_inaccurate_lanczos_basis_rejected(self, karate, monkeypatch,
-                                               part):
+                                               lanczos_calls, part):
         import corestab.embed as em
         laplacian_eigenmaps(karate, 4, seed=1)  # the real basis passes
+        assert lanczos_calls[0] == 4
         monkeypatch.setattr(em, "eigsh", perturbed_solver(em.eigsh, part))
+        lanczos_calls.clear()
         assert_inaccurate(lambda: laplacian_eigenmaps(karate, 4, seed=1),
                           part)
+        assert lanczos_calls[0] == 4
 
     @pytest.mark.parametrize("part", ["residual", "ortho"])
     def test_inaccurate_dense_fallback_basis_rejected(self, karate,
@@ -347,6 +373,100 @@ class TestLaplacianEigenmaps:
         laplacian_eigenmaps(karate, 32)  # the real basis passes
         monkeypatch.setattr(em, "eigh", perturbed_solver(em.eigh, part))
         assert_inaccurate(lambda: laplacian_eigenmaps(karate, 32), part)
+
+    @pytest.mark.parametrize("n", [_DENSE_MAX_N, _DENSE_MAX_N + 1])
+    def test_both_sides_of_dense_crossover_match_oracle(self, monkeypatch,
+                                                        n):
+        # dense at _DENSE_MAX_N nodes, Lanczos one node above; random
+        # weights keep every eigenvalue simple
+        import corestab.embed as em
+        real, calls = em.eigsh, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(em, "eigsh", counting)
+        rng = np.random.default_rng(n)
+        g = random_er(rng, n, 0.02)
+        g = Graph(g.n, g.edges, rng.exponential(size=g.m))
+        assert component_count(g) == 1
+        emb = laplacian_eigenmaps(g, 6, seed=4)
+        assert bool(calls) == (n > _DENSE_MAX_N)
+        vals = rayleigh_eigenvalues(g, emb)
+        want_emb, want_vals = dense_eigenmaps_oracle(g, 6)
+        assert np.abs(vals - want_vals).max() <= 1e-10
+        assert np.abs(emb - want_emb).max() <= 1e-8
+
+    @pytest.mark.parametrize("path", ["dense", "lanczos"])
+    def test_solve_logs_its_path(self, karate, monkeypatch, caplog, path):
+        import corestab.embed as em
+        if path == "lanczos":
+            monkeypatch.setattr(em, "_DENSE_MAX_N", 0)
+        with caplog.at_level(logging.DEBUG, logger="corestab.embed"):
+            laplacian_eigenmaps(karate, 4, seed=1)
+        (record,) = caplog.records
+        fields = dict(f.split("=") for f in record.getMessage().split()[1:])
+        assert fields["path"] == path
+        assert (fields["n"], fields["dim"], fields["components"]) == (
+            "34", "4", "1")
+        assert (int(fields["probes"]) >= 1) == (path == "lanczos")
+        assert float(fields["residual"]) <= 1e-6
+        assert float(fields["ortho"]) <= 1e-6
+
+
+class TestShiftedOperator:
+    """The Lanczos operator against N x - 3 Z Z'x - 3 Y Y'x made densely."""
+
+    @staticmethod
+    def parts(g, cols, rng):
+        wdeg = g.weighted_degrees
+        adj = sp.csr_matrix((g.weights, g.edges.T), shape=(g.n, g.n))
+        s = sp.diags(1.0 / np.sqrt(wdeg))
+        norm = (s @ (adj + adj.T) @ s).tocsr()
+        comps, labels = connected_components(adj, directed=False)
+        z = np.sqrt(wdeg / np.bincount(labels, wdeg)[labels])
+        zmat = np.zeros((g.n, comps))
+        zmat[np.arange(g.n), labels] = z
+        y = np.linalg.qr(rng.standard_normal((g.n, cols)))[0]
+        return norm, z, labels, comps, zmat, y
+
+    @pytest.mark.parametrize("case", ["connected", "components"])
+    @pytest.mark.parametrize("cols", [0, 3])
+    def test_matches_dense_shift(self, karate, case, cols):
+        rng = np.random.default_rng(5)
+        g = karate if case == "connected" else disjoint_union(
+            karate, random_er(rng, 40, 0.2), complete_graph(5))
+        norm, z, labels, comps, zmat, y = self.parts(g, cols, rng)
+        assert comps == (1 if case == "connected" else 3)
+        op = _shifted(norm, z, labels, comps, y)
+        for _ in range(3):
+            x = rng.standard_normal(g.n)
+            want = (norm @ x - 3.0 * zmat @ (zmat.T @ x)
+                    - 3.0 * y @ (y.T @ x))
+            assert np.abs(op.matvec(x) - want).max() <= 1e-14
+
+    def test_warm_matvec_allocates_under_4_kib(self):
+        import tracemalloc
+        rng = np.random.default_rng(6)
+        n = 10**4
+        ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+        chords = rng.integers(0, n, size=(3 * n, 2))
+        edges = np.unique(np.sort(np.vstack([ring, chords]), axis=1), axis=0)
+        g = Graph(n, edges[edges[:, 0] != edges[:, 1]])
+        norm, z, labels, comps, _, y = self.parts(g, 10, rng)
+        op = _shifted(norm, z, labels, comps, y)
+        x = rng.standard_normal(n)
+        op.matvec(x)
+        tracemalloc.start()
+        try:
+            op.matvec(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n-vector is 78 KiB: the product and both shifts write into
+        # the operator's two buffers
+        assert peak < 4 * 1024
 
 
 class TestNetworkxSpectrum:
