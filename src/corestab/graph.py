@@ -141,46 +141,95 @@ class SubgraphFeatures:
 _IS_SPACE = np.array(list(map(str.isspace, map(chr, range(0x3002)))))
 
 
+_ID_DIGITS = 19  # 2^63 - 1 has 19 digits, and 10^19 - 1 fits in uint64
+
+
+def _read_ids(codes, starts, ends):
+    """The ids spelled by the tokens ``codes[starts[i]:ends[i]]``, as int64.
+
+    Horner's rule runs over the last ``_ID_DIGITS`` digit places of every
+    token at once, right-aligned, so a token's places before its start read
+    as 0; a longer token is valid only when its extra leading places are
+    all ``0``.  Raises ValueError when a token is not ASCII digits or
+    exceeds 2^63 - 1.
+    """
+    acc = np.zeros(starts.shape, dtype=np.uint64)
+    bad = np.zeros(starts.shape, dtype=bool)
+    width = int((ends - starts).max(initial=0))
+    for back in range(min(width, _ID_DIGITS), 0, -1):
+        place = ends - back
+        inside = place >= starts
+        digit = codes.take(place, mode="clip") - ord("0")  # uint32: wraps
+        bad |= inside & (digit > 9)
+        acc *= 10
+        acc += np.where(inside, digit, 0)
+    bad |= acc > 2 ** 63 - 1
+    if width > _ID_DIGITS:
+        long = ends - starts > _ID_DIGITS
+        nonzero = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(codes != ord("0"), out=nonzero[1:])
+        bad[long] |= (nonzero[ends[long] - _ID_DIGITS]
+                      != nonzero[starts[long]])
+    if bad.any():
+        raise ValueError("an id that is not ASCII digits or above 2^63 - 1")
+    return acc.view(np.int64)
+
+
+def _parse(text):
+    """The ids, as an (edges, 2) int64 array, and the weights of the edge
+    lines of ``text``, in file order.  Raises ValueError on a malformed
+    line."""
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = _IS_SPACE.take(codes, mode="clip")
+    head = ~space  # a token starts at a non-space after a space
+    head[1:] &= space[:-1]
+    tail = ~space  # and ends at a non-space before a space
+    tail[:-1] &= space[1:]
+    starts, ends = np.flatnonzero(head), np.flatnonzero(tail) + 1
+    del space, head, tail  # they would hold 3 bytes a code point to the end
+    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
+    counts = np.diff(first, append=len(starts))
+    data = codes[starts[first]] != ord("#")
+    first, counts = first[data], counts[data]
+    if not ((counts == 2) | (counts == 3)).all():
+        raise ValueError("a line without 2 or 3 tokens")
+    pair = np.column_stack([first, first + 1])
+    ids = _read_ids(codes, starts[pair], ends[pair])
+    three = counts == 3
+    weights = np.ones(len(first))
+    if three.any():
+        tokens = np.array(text.split(), dtype=object)
+        weights[three] = tokens[first[three] + 2].astype(np.float64)
+        if not ((weights >= 0) & (weights < np.inf)).all():
+            raise ValueError("a negative or non-finite weight")
+    return ids, weights
+
+
 def load_edge_list(path):
     """Parse a whitespace-separated edge list into a Graph.
 
     A line is ``u v`` or ``u v w``; the two forms may be mixed.  Ids are
-    decimal integers in 0..2^63-1, weights finite floats >= 0 (1.0 when
-    absent).  A line whose first token starts with ``#`` is a comment, and
-    blank lines are skipped.  Line ends are read as universal newlines, so
-    CRLF files load too.  Ids are remapped to dense 0..n-1 in id order
+    ASCII decimal integers in 0..2^63-1, weights finite floats >= 0 (1.0
+    when absent).  A line whose first token starts with ``#`` is a comment,
+    and blank lines are skipped.  Line ends are read as universal newlines,
+    so CRLF files load too.  Ids are remapped to dense 0..n-1 in id order
     (original ids kept on the Graph).  Duplicate edges collapse keeping the
     last weight; self-loops are dropped with a logged count, and so are
     nodes that appear only in self-loops.  A malformed file raises
     ``GraphParseError`` naming its first offending line.
 
-    The text is split once by ``str.split``, every token's line is found
-    from the code points of the text, and the id and weight tokens are each
-    converted by one numpy cast, so no Python code runs per edge.
+    Tokens and their lines are found from the code points of the text, and
+    ids are read from those code points by array arithmetic (``_read_ids``).
+    Only the weight tokens go through ``float``, by one numpy cast, and the
+    text is split into strings only when some line has a weight.  So no
+    Python code runs per edge, and memory stays O(text).
     """
     with open(path) as fh:
         text = fh.read()
-    tokens = np.array(text.split(), dtype=object)
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space = _IS_SPACE.take(codes, mode="clip")
-    head = ~space  # a token starts at a non-space after a space
-    head[1:] &= space[:-1]
-    starts = np.flatnonzero(head)
-    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
-    first = np.flatnonzero(np.diff(line, prepend=-1))  # each line's first token
-    counts = np.diff(first, append=len(tokens))
-    data = codes[starts[first]] != ord("#")
-    first, counts = first[data], counts[data]
     try:
-        if not ((counts == 2) | (counts == 3)).all():
-            raise ValueError("a line without 2 or 3 tokens")
-        ids = tokens[np.column_stack([first, first + 1])].astype(np.int64)
-        three = counts == 3
-        weights = np.ones(len(first))
-        weights[three] = tokens[first[three] + 2].astype(np.float64)
-        if (ids < 0).any() or not ((weights >= 0) & (weights < np.inf)).all():
-            raise ValueError("a negative id or weight, or a non-finite weight")
-    except (ValueError, OverflowError):
+        ids, weights = _parse(text)
+    except ValueError:
         raise GraphParseError(_first_fault(path, text)) from None
 
     u, v = ids.T
@@ -210,12 +259,15 @@ def _first_fault(path, text):
         parts = s.split()
         if len(parts) not in (2, 3):
             return f"{path}:{ln}: expected 'u v' or 'u v w', got {s!r}"
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        # ids are ASCII digits only: no sign, "_", or non-ASCII digit
+        digits = [p.removeprefix("-") for p in parts[:2]]
+        if not all(d.isascii() and d.isdigit() for d in digits):
             return f"{path}:{ln}: non-integer node id in {s!r}"
+        u, v = map(int, parts[:2])
         if u < 0 or v < 0:
             return f"{path}:{ln}: negative node id in {s!r}"
+        if digits != parts[:2]:  # a sign on a zero id
+            return f"{path}:{ln}: non-integer node id in {s!r}"
         if max(u, v) >= 2 ** 63:
             return f"{path}:{ln}: node id above 2^63 - 1 in {s!r}"
         if len(parts) == 3:
@@ -230,8 +282,93 @@ def _first_fault(path, text):
     return f"{path}: malformed edge list"
 
 
+# rounds one level of the vectorised peel may take before the rest of the
+# graph goes to the bin-sort loop.  A round costs about as much as the loop
+# on 125 adjacency entries, and the benchmark inputs need at most 34 rounds
+# in a level (timing table in CHANGES.md)
+_MAX_ROUNDS = 64
+
+
+def _csr_slices(indptr, nbrs, rows):
+    """The neighbours of every node in ``rows``, concatenated."""
+    lo = indptr[rows]
+    sizes = indptr[rows + 1] - lo
+    # place t of the output reads nbrs[lo[r] + t - (start of row r's block)]
+    offset = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+    return nbrs[offset + np.arange(len(offset))]
+
+
 def core_decomposition(g):
-    """Coreness of every node by min-degree peeling in O(n + m).
+    """Coreness of every node, by level-synchronous peeling.
+
+    At level k (starting at the smallest degree) every alive node of
+    current degree <= k leaves in one round and gets coreness k; its
+    alive neighbours lose one degree per removed neighbour, and those that
+    fall to <= k form the next round.  When a round removes nothing, k
+    rises to the smallest alive degree.  Rounds are whole-array steps, as
+    in ParK (Dasari, Ranjan & Zubair 2014), and coreness does not depend
+    on the order of removal, so the result is exact.
+
+    A level takes as many rounds as its longest peeling chain (n / 2 on a
+    path).  So when a level needs more than ``_MAX_ROUNDS``, the induced
+    subgraph of the alive nodes goes to the bin-sort loop ``_bz_coreness``
+    and each of its nodes gets max(k, its coreness there): for j > k the
+    j-cores of g and of that subgraph are the same.
+
+    ``degenerate_core`` is the node set of the maximal k_max-core.  One
+    DEBUG line gives n, m, the rounds, the most rounds in one level and
+    the level where the loop took over (``none`` when it did not).
+    """
+    n = g.n
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return CorenessMap(empty, 0, empty)
+    indptr, nbrs, _ = g.adjacency()
+    deg = g.degrees.copy()
+    alive = np.ones(n, dtype=bool)
+    coreness = np.zeros(n, dtype=np.int64)
+    rounds = most = 0
+    handoff = None
+    left = np.arange(n)
+    while left.size:
+        k = int(deg[left].min())
+        frontier = left[deg[left] <= k]
+        level_rounds = 0
+        while frontier.size:
+            if level_rounds == _MAX_ROUNDS:
+                handoff = k
+                # the alive rows of the CSR, relabelled, are the induced
+                # subgraph's CSR, already sorted
+                rest = np.flatnonzero(alive)
+                sub_indptr = np.zeros(len(rest) + 1, dtype=np.int64)
+                np.cumsum(deg[rest], out=sub_indptr[1:])
+                keep = np.repeat(alive, np.diff(indptr)) & alive[nbrs]
+                sub_nbrs = (np.cumsum(alive) - 1)[nbrs[keep]]
+                coreness[rest] = np.maximum(
+                    k, _bz_coreness(sub_indptr, sub_nbrs))
+                alive[:] = False
+                break
+            level_rounds += 1
+            alive[frontier] = False
+            coreness[frontier] = k
+            touched = _csr_slices(indptr, nbrs, frontier)
+            touched, drop = np.unique(touched[alive[touched]],
+                                      return_counts=True)
+            deg[touched] -= drop
+            frontier = touched[deg[touched] <= k]
+        rounds += level_rounds
+        most = max(most, level_rounds)
+        left = np.flatnonzero(alive)
+    log.debug("core_decomposition n=%d m=%d rounds=%d most_in_level=%d "
+              "loop_level=%s", n, g.m, rounds, most,
+              "none" if handoff is None else handoff)
+    k_max = int(coreness.max())
+    return CorenessMap(coreness, k_max, np.flatnonzero(coreness == k_max))
+
+
+def _bz_coreness(indptr, nbrs):
+    """Coreness of every node of the graph whose CSR adjacency is
+    (``indptr``, ``nbrs``), by min-degree peeling in O(n + m).
 
     This is the bin-sort algorithm of Batagelj & Zaversnik (2003, "An O(m)
     algorithm for cores decomposition of networks"): nodes sit in an array
@@ -239,24 +376,14 @@ def core_decomposition(g):
     ``bins``; taking nodes in array order, each neighbour of higher current
     degree is swapped to the front of its block, which then moves up one
     place, and its degree drops by one.  The loop runs on Python lists:
-    numpy scalar indexing costs several times more per step, and peeling
-    all minimum-degree nodes at once in vectorised rounds needs as many
-    rounds as the graph's longest peeling chain (n / 2 on a path).
-
-    The output is independent of tie-breaking; ``degenerate_core`` is the
-    node set of the maximal k_max-core.
+    numpy scalar indexing costs several times more per step.
     """
-    n = g.n
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return CorenessMap(empty, 0, empty)
-    deg = g.degrees
+    deg = np.diff(indptr)
     vert = np.argsort(deg, kind="stable")
-    pos = np.empty(n, dtype=np.int64)
-    pos[vert] = np.arange(n)
+    pos = np.empty(len(deg), dtype=np.int64)
+    pos[vert] = np.arange(len(deg))
     sizes = np.bincount(deg)
     bins = np.cumsum(sizes) - sizes
-    indptr, nbrs, _ = g.adjacency()
     deg, vert, pos, bins = deg.tolist(), vert.tolist(), pos.tolist(), bins.tolist()
     indptr, nbrs = indptr.tolist(), nbrs.tolist()
     # swaps only touch places after the current one, so the list iterator
@@ -273,9 +400,7 @@ def core_decomposition(g):
                     pos[u], pos[w] = pw, pu
                 bins[du] = pw + 1
                 deg[u] = du - 1
-    coreness = np.array(deg, dtype=np.int64)
-    k_max = int(coreness.max())
-    return CorenessMap(coreness, k_max, np.flatnonzero(coreness == k_max))
+    return np.array(deg, dtype=np.int64)
 
 
 # wedges listed per block of source edges; bounds the triangle listing's memory
@@ -310,10 +435,12 @@ def subgraph_features(g, cm):
 
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
-    flip = rank[a] > rank[b]
-    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
+    # the CSR rows are sorted, so the forward entries come out as the
+    # out-edges (lo, hi) sorted lexicographically
+    indptr, nbrs, _ = g.adjacency()
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    forward = rank[nbrs] > rank[src]
+    lo, hi = src[forward], nbrs[forward]
     # wedge (e, f): out-edges e < f of one node, so hi[e] < hi[f]; ``later``
     # counts the f of each e, and f = e + 1 + the wedge's place in e's run,
     # which is the wedge's index plus shift[e]
@@ -332,7 +459,11 @@ def subgraph_features(g, cm):
         first = np.repeat(np.arange(e0, e1), later[e0:e1])
         far = np.arange(ends[e0] - later[e0], ends[e1 - 1]) + shift[first]
         want = hi[first] * n + hi[far]
-        closed = codes[np.searchsorted(codes, want)] == want
+        # sorted keys search faster; the flags go back to wedge order
+        order = np.argsort(want)
+        closed = np.empty(len(want), dtype=bool)
+        sought = want[order]
+        closed[order] = codes[np.searchsorted(codes, sought)] == sought
         corners = np.stack([lo[first[closed]], hi[first[closed]],
                             hi[far[closed]]])
         tri += np.bincount((corners * S + level[corners].min(axis=0)).ravel(),

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,48 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, f"{2**63} {2**63}\n"))
         g = load_edge_list(write(tmp_path, f"0 {2**63 - 1}\n"))
         assert g.orig_ids.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("token", [
+        "+5", "1_000", ":1", "\u0663", "\uff11", "-0", "5.", "0x1",
+        "x" + "0" * 19 + "1", "0" * 10 + "\uff11" + "0" * 10])
+    def test_id_is_ascii_digits_only(self, tmp_path, token):
+        # int() takes "+5", "1_000", "-0" and the lone non-ASCII digits;
+        # the loader refuses every one of these tokens
+        for line in (f"{token} 1", f"1 {token}"):
+            with pytest.raises(GraphParseError,
+                               match=rf":2: non-integer node id in "
+                                     rf"{re.escape(repr(line))}"):
+                load_edge_list(write(tmp_path, f"0 1\n{line}\n"))
+
+    def test_leading_zeros_are_kept(self, tmp_path):
+        big = 2 ** 63 - 1
+        g = load_edge_list(write(
+            tmp_path, f"007 1\n{'0' * 30}42 0\n{'0' * 5}{big} 0\n"))
+        assert g.orig_ids.tolist() == [0, 1, 7, 42, big]
+        with pytest.raises(GraphParseError, match=r":1: node id above"):
+            load_edge_list(write(tmp_path, f"{'0' * 5}{big + 1} 0\n"))
+        with pytest.raises(GraphParseError, match=r":1: node id above"):
+            load_edge_list(write(tmp_path, f"1{'0' * 22} 0\n"))
+
+    def test_peak_memory_is_a_small_multiple_of_the_text(self, tmp_path):
+        import tracemalloc
+        # 200 000 lines of two ids below 10^6: the loader peaks near 18
+        # times the text, and a uint64 matrix of 19 digit places per id
+        # token alone would take 22 times the text
+        rng = np.random.default_rng(5)
+        u = rng.integers(0, 10 ** 6, size=200_000)
+        v = (u + rng.integers(1, 10 ** 6, size=len(u))) % 10 ** 6
+        text = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+        path = write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * len(text)
+        assert g.m == len(set(zip(np.minimum(u, v).tolist(),
+                                  np.maximum(u, v).tolist())))
 
     def test_indented_comment(self, tmp_path):
         g = load_edge_list(write(tmp_path,
@@ -326,14 +371,18 @@ class TestCoreDecomposition:
         cm = core_decomposition(karate)
         assert (cm.coreness <= karate.degrees).all()
 
-    def test_long_path(self):
+    def test_long_path(self, monkeypatch):
+        # 50 000 rounds at level 1: the bin-sort loop finishes the peel
+        loop = spy_on_loop(monkeypatch)
         n = 100_000
         g = Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
         cm = core_decomposition(g)
         assert cm.k_max == 1 and (cm.coreness == 1).all()
         assert np.array_equal(cm.degenerate_core, np.arange(n))
+        assert loop == [n - 2 * graph_mod._MAX_ROUNDS]
 
-    def test_random_tree(self):
+    def test_random_tree(self, monkeypatch):
+        loop = spy_on_loop(monkeypatch)
         n = 100_000
         rng = np.random.default_rng(8)
         child = np.arange(1, n)
@@ -341,6 +390,39 @@ class TestCoreDecomposition:
         cm = core_decomposition(g)
         assert cm.k_max == 1 and (cm.coreness == 1).all()
         assert cm.coreness.dtype == np.int64
+        assert loop == []
+
+    def test_ba_graph_stays_on_rounds(self, monkeypatch):
+        from corestab.synth import GenSpec, generate
+        loop = spy_on_loop(monkeypatch)
+        g = generate(GenSpec("ba", 5000, m_attach=4), seed=1)
+        cm = core_decomposition(g)
+        assert loop == [] and cm.k_max == 4
+
+    @pytest.mark.parametrize("name, k", [
+        ("odd_path_and_clique", 1), ("clique_with_long_tail", 1),
+        ("caterpillar", 1),
+        ("clique_with_long_2_chain", 2), ("3_chains_and_clique", 3)])
+    def test_loop_takes_over_mid_level(self, monkeypatch, caplog, name, k):
+        loop = spy_on_loop(monkeypatch)
+        g = chain_graphs()[name]
+        with caplog.at_level(logging.DEBUG, logger="corestab.graph"):
+            cm = core_decomposition(g)
+        assert len(loop) == 1 and 0 < loop[0] < g.n
+        assert np.array_equal(cm.coreness, naive_coreness(g))
+        fields = peel_log(caplog)
+        assert fields["loop_level"] == str(k)
+        assert fields["most_in_level"] == str(graph_mod._MAX_ROUNDS)
+
+    def test_logs_rounds(self, caplog, karate):
+        with caplog.at_level(logging.DEBUG, logger="corestab.graph"):
+            core_decomposition(karate)
+        fields = peel_log(caplog)
+        assert (fields["n"], fields["m"], fields["loop_level"]) == (
+            "34", "78", "none")
+        # karate peels at levels 1, 2, 3 and 4
+        assert 4 <= int(fields["rounds"]) <= 34
+        assert 1 <= int(fields["most_in_level"]) <= int(fields["rounds"])
 
     def test_star(self):
         g = Graph(50, [[7, i] for i in range(50) if i != 7])
@@ -371,6 +453,59 @@ class TestCoreDecomposition:
         cm = core_decomposition(Graph(3, np.zeros((0, 2))))
         assert cm.coreness.tolist() == [0, 0, 0] and cm.k_max == 0
         assert cm.degenerate_core.tolist() == [0, 1, 2]
+
+
+def spy_on_loop(monkeypatch):
+    """Record the node count of every graph the bin-sort loop peels."""
+    calls, loop = [], graph_mod._bz_coreness
+
+    def spy(indptr, nbrs):
+        calls.append(len(indptr) - 1)
+        return loop(indptr, nbrs)
+    monkeypatch.setattr(graph_mod, "_bz_coreness", spy)
+    return calls
+
+
+def peel_log(caplog):
+    """The fields of the one DEBUG line of ``core_decomposition``."""
+    (record,) = caplog.records
+    return dict(f.split("=") for f in record.getMessage().split()[1:])
+
+
+def path_power(nodes, k, offset=0):
+    """Edges i-j for 0 < j - i <= k over ``nodes`` consecutive ids: every
+    node has coreness k, and peeling it takes about nodes / 2 rounds."""
+    i, j = np.triu_indices(nodes, 1)
+    keep = j - i <= k
+    return np.column_stack([i[keep], j[keep]]) + offset
+
+
+def chain_graphs():
+    """Graphs whose longest peeling chain exceeds ``_MAX_ROUNDS`` at one
+    level, with nodes of lower and higher coreness around it."""
+    L = 4 * graph_mod._MAX_ROUNDS
+    k6 = complete_graph(6).edges
+    spine = path_power(L, 1)
+    legs = np.column_stack([np.arange(L), np.arange(L, 2 * L)])
+    C = graph_mod._MAX_ROUNDS
+    return {
+        # the middle node of a path of 2C + 1 nodes is left with no alive
+        # neighbour when the loop takes over, and a K4 apart
+        "odd_path_and_clique": Graph(2 * C + 5, np.vstack(
+            [path_power(2 * C + 1, 1), complete_graph(4).edges + 2 * C + 1])),
+        # coreness 5 clique, a tail of coreness 1
+        "clique_with_long_tail": Graph(6 + L, np.vstack(
+            [k6, [[0, 6]], path_power(L, 1, 6)])),
+        # a path with a pendant on every node, and a triangle at one end
+        "caterpillar": Graph(2 * L, np.vstack([spine, legs, [[0, 2]]])),
+        # a coreness 2 chain off a clique, a pendant, an isolated node
+        "clique_with_long_2_chain": Graph(8 + L, np.vstack(
+            [k6, [[0, 6], [1, 6], [L + 5, L + 6]], path_power(L, 2, 6)])),
+        # two coreness 3 chains joined through a K5, with a pendant
+        "3_chains_and_clique": Graph(2 * L + 6, np.vstack(
+            [path_power(L, 3), path_power(L, 3, L), complete_graph(5).edges
+             + 2 * L, [[0, 2 * L], [L, 2 * L + 1], [2 * L + 2, 2 * L + 5]]])),
+    }
 
 
 def features(g):
