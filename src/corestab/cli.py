@@ -26,8 +26,8 @@ from ._util import json_dumps_stable, sha256_file, write_atomic, write_csv
 from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
-from .graph import (GraphParseError, SubgraphFeatures, core_decomposition,
-                    load_edge_list, subgraph_features)
+from .graph import (SubgraphFeatures, core_decomposition, load_edge_list,
+                    subgraph_features)
 from .regress import FEATURE_NAMES, collect_samples, ols_fit
 from .share import ShareEmbedderError, ShareReport, run_share
 from .stable import StableConfig, TrainingDivergence, stable_train
@@ -53,17 +53,19 @@ def _load_json(path, cls):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _write_manifest(out_dir, command, config, seed, inputs, started):
+def _write_manifest(args, config, seed, inputs):
+    """``manifest.json`` in ``args.out`` for the command ``args.command``,
+    timed from ``args.started``."""
     manifest = {
         "schema_version": 1,
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": seed,
         "input_hashes": {os.path.basename(p): sha256_file(p) for p in inputs},
         "tool_version": __version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.time() - args.started,
     }
-    write_atomic(os.path.join(out_dir, "manifest.json"),
+    write_atomic(os.path.join(args.out, "manifest.json"),
                  json_dumps_stable(manifest))
 
 
@@ -72,7 +74,6 @@ def _feature_columns(features):
 
 
 def cmd_kcore(args):
-    started = time.time()
     g = load_edge_list(args.graph)
     cm = core_decomposition(g)
     os.makedirs(args.out, exist_ok=True)
@@ -96,8 +97,7 @@ def cmd_kcore(args):
     write_csv(os.path.join(args.out, "core_features.csv"),
               ["k", *_FEATURE_FIELDS],
               [list(feats), *_feature_columns(feats.values())])
-    _write_manifest(args.out, "kcore", {"graph": args.graph}, None,
-                    [args.graph], started)
+    _write_manifest(args, {"graph": args.graph}, None, [args.graph])
     return EXIT_OK
 
 
@@ -137,7 +137,6 @@ def _write_share_outputs(out_dir, report, **extra):
 
 
 def cmd_share(args):
-    started = time.time()
     if bool(args.embedder) == bool(args.external_embeddings):
         log.error("exactly one of --embedder or --external-embeddings is required")
         return EXIT_INPUT
@@ -170,12 +169,11 @@ def cmd_share(args):
     config = {"graph": args.graph,
               "embedder": embedder.to_dict() if isinstance(embedder, EmbedSpec)
               else {"external": args.external_embeddings}}
-    _write_manifest(args.out, "share", config, args.seed, inputs, started)
+    _write_manifest(args, config, args.seed, inputs)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
 def cmd_stable(args):
-    started = time.time()
     g = load_edge_list(args.graph)
     cfg = _load_json(args.config, StableConfig)
     os.makedirs(args.out, exist_ok=True)
@@ -197,14 +195,12 @@ def cmd_stable(args):
               [errors])
     write_atomic(os.path.join(args.out, "config.json"),
                  json_dumps_stable(cfg.to_dict()))
-    _write_manifest(args.out, "stable",
-                    {"graph": args.graph, "config": cfg.to_dict()},
-                    args.seed, [args.graph, args.config], started)
+    _write_manifest(args, {"graph": args.graph, "config": cfg.to_dict()},
+                    args.seed, [args.graph, args.config])
     return EXIT_OK
 
 
 def cmd_linkpred(args):
-    started = time.time()
     g = load_edge_list(args.graph)
     emb = _load_embedding_rows(args.embeddings, g.orig_ids)
     split = make_split(g, args.fraction, args.seed)
@@ -228,15 +224,13 @@ def cmd_linkpred(args):
               ["graph", "algorithm", "variant", "f1", "auc"],
               [[os.path.basename(args.graph)], [args.algorithm],
                [args.variant], [scores.f1], [scores.auc]])
-    _write_manifest(args.out, "linkpred",
-                    {"graph": args.graph, "embeddings": args.embeddings,
-                     "fraction": args.fraction},
-                    args.seed, [args.graph, args.embeddings], started)
+    _write_manifest(args, {"graph": args.graph, "embeddings": args.embeddings,
+                           "fraction": args.fraction},
+                    args.seed, [args.graph, args.embeddings])
     return EXIT_OK
 
 
 def cmd_regress(args):
-    started = time.time()
     paths = sorted(glob.glob(args.reports))
     if not paths:
         log.error("no report files match %r", args.reports)
@@ -286,15 +280,13 @@ def cmd_regress(args):
     write_atomic(os.path.join(args.out, "fits.json"),
                  json_dumps_stable({"schema_version": 1, "fits": fits}))
     write_csv(os.path.join(args.out, "fits.csv"), fit_header, fit_columns)
-    _write_manifest(args.out, "regress", {"reports": args.reports}, None,
-                    paths, started)
+    _write_manifest(args, {"reports": args.reports}, None, paths)
     if failures == len(fits):
         return EXIT_NUMERIC
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_generate(args):
-    started = time.time()
     spec = _load_json(args.spec, GenSpec)
     g = generate(spec, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -305,8 +297,7 @@ def cmd_generate(args):
                   "seed": args.seed, "n": g.n, "m": g.m}
     write_atomic(os.path.join(args.out, "provenance.json"),
                  json_dumps_stable(provenance))
-    _write_manifest(args.out, "generate", spec.to_dict(), args.seed,
-                    [args.spec], started)
+    _write_manifest(args, spec.to_dict(), args.seed, [args.spec])
     return EXIT_OK
 
 
@@ -372,10 +363,10 @@ def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
-    except (GraphParseError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except (TrainingDivergence, EigensolverError, np.linalg.LinAlgError) as exc:

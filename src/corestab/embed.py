@@ -463,10 +463,12 @@ def save_embedding_csv(path, emb, orig_ids):
 
 
 def load_embedding_csv(path):
-    """Node ids and rows of an embedding CSV; a file without embedding
-    columns or rows raises ValueError naming it."""
-    ids = []
+    """Node ids and rows of an embedding CSV.  A file without the
+    ``node_id`` header, embedding columns or rows raises ValueError naming
+    it; a row of the wrong length, a cell that is not a number or a node id
+    listed a second time raises one naming the file and the line."""
     rows = []
+    line_of = {}  # node id -> the line that listed it, in file order
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "node_id":
@@ -481,11 +483,19 @@ def load_embedding_csv(path):
             parts = s.split(",")
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}:{ln}: expected {dim + 1} columns")
-            ids.append(int(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
+            try:
+                node = int(parts[0])
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            if node in line_of:
+                raise ValueError(f"{path}:{ln}: node id {node} repeats line "
+                                 f"{line_of[node]}")
+            line_of[node] = ln
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
-    return np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64)
+    return (np.array(list(line_of), dtype=np.int64),
+            np.array(rows, dtype=np.float64))
 
 
 def save_embedding_binary(path, emb):

@@ -54,8 +54,6 @@ class Graph:
             dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
             if dup.any():
                 raise ValueError("duplicate edges are not allowed")
-        else:
-            edges = edges.reshape(0, 2)
         if orig_ids is None:
             orig_ids = np.arange(n, dtype=np.int64)
         orig_ids = np.asarray(orig_ids, dtype=np.int64)
@@ -199,8 +197,10 @@ def _parse(text):
     three = counts == 3
     weights = np.ones(len(first))
     if three.any():
-        tokens = np.array(text.split(), dtype=object)
-        weights[three] = tokens[first[three] + 2].astype(np.float64)
+        w = first[three] + 2  # the weight tokens, sliced from the text
+        spans = zip(starts[w].tolist(), ends[w].tolist())
+        weights[three] = np.array([text[a:b] for a, b in spans],
+                                  dtype=object).astype(np.float64)
         if not ((weights >= 0) & (weights < np.inf)).all():
             raise ValueError("a negative or non-finite weight")
     return ids, weights
@@ -221,9 +221,9 @@ def load_edge_list(path):
 
     Tokens and their lines are found from the code points of the text, and
     ids are read from those code points by array arithmetic (``_read_ids``).
-    Only the weight tokens go through ``float``, by one numpy cast, and the
-    text is split into strings only when some line has a weight.  So no
-    Python code runs per edge, and memory stays O(text).
+    Only the weight tokens become strings, sliced from the text at those
+    token bounds, and go through ``float`` by one numpy cast.
+    So no Python code runs per unweighted edge, and memory stays O(text).
     """
     with open(path) as fh:
         text = fh.read()

@@ -27,6 +27,10 @@ log = logging.getLogger(__name__)
 
 _GAP_BLOCK = 512  # core rows per block of proximity gaps
 
+# a final penalty above this per core pair (an RMS proximity gap above 0.2)
+# marks a saturated run: its sigmoids sit where the gradient vanishes
+_SATURATED = 0.04
+
 
 class TrainingDivergence(RuntimeError):
     """A loss or the embedding matrix went non-finite."""
@@ -239,7 +243,9 @@ def stable_train(g, cfg, seed=0):
     batch in expectation.  The learning rate decays linearly to zero.  One ``_SGDWorkspace`` per
     run holds the chunk temporaries of the base and penalty steps, and every
     step applies its updates as one sparse coefficient product
-    (``apply_coefficients``).
+    (``apply_coefficients``).  When alpha > 0 and the final penalty exceeds
+    ``_SATURATED`` per core pair, one WARNING gives the value: such a run
+    still returns, but its core proximities were not pinned.
     """
     if cfg.alpha == 0:
         log.warning("alpha=0: the stability penalty is disabled")
@@ -298,6 +304,11 @@ def stable_train(g, cfg, seed=0):
         if not (np.isfinite(base_loss[t]) and np.isfinite(stab_loss[t])
                 and np.isfinite(emb).all()):
             raise TrainingDivergence(t, "non-finite loss or embedding")
+    per_pair = stab_loss[-1] / (k * (k - 1) // 2)
+    if cfg.alpha > 0 and per_pair > _SATURATED:
+        log.warning("training saturated: the final penalty is %.3g per core "
+                    "pair (RMS proximity gap %.3g, above %.2g)", per_pair,
+                    np.sqrt(per_pair), np.sqrt(_SATURATED))
     return StableResult(embeddings=emb, isolated_core=ref, core_nodes=core,
                         base_loss=base_loss, stability_loss=stab_loss,
                         initial=init)

@@ -143,7 +143,7 @@ class TestShare:
         assert report["records"][0]["emd"] == 0.0
         assert os.path.exists(os.path.join(out_a, "distributions", "k0.csv"))
 
-    def test_core_spans_graph_one_record(self, tmp_path):
+    def test_core_spans_graph_one_record(self, tmp_path, caplog):
         graph = write_graph(tmp_path, "k6.txt",
                             complete_graph(6).edges.tolist())
         spec = write_json(tmp_path, "spec.json",
@@ -155,6 +155,14 @@ class TestShare:
             "records"]
         assert [(r["k"], r["size"], r["emd"]) for r in records] == \
             [(0, 6, 0.0)]
+        # regress skips such a report, and has nothing left to fit
+        with caplog.at_level("WARNING"):
+            assert main(["regress", "--reports",
+                         os.path.join(out, "share_report.json"),
+                         "--out", str(tmp_path / "r")]) == 2
+        assert "share_report.json: fewer than 2 records, skipped" in \
+            caplog.text
+        assert "no usable reports" in caplog.text
 
     def test_report_csv_matches_json(self, tmp_path):
         g = desk_graph()
@@ -292,6 +300,23 @@ class TestShare:
                   if "shell k=1 failed" in r.getMessage()]
         assert failed and "embeddings_k1.csv" in failed[0]
 
+    @pytest.mark.parametrize("row,cause", [
+        ("4,abc,0.5", ":6: could not convert string to float: 'abc'"),
+        ("0,0.5,0.5", ":6: node id 0 repeats line 2")])
+    def test_external_bad_row_names_file_and_line(self, tmp_path, caplog,
+                                                  row, cause):
+        graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
+        ext = tmp_path / "ext"
+        ext.mkdir()
+        rows = ["node_id,e0,e1", "0,1.0,0.0", "1,0.0,1.0", "2,0.5,0.0",
+                "3,1.0,1.0", row]
+        path = ext / "embeddings_k0.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with caplog.at_level("ERROR"):
+            assert main(["share", "--graph", graph, "--external-embeddings",
+                         str(ext), "--out", str(tmp_path / "o")]) == 4
+        assert f"shell k=0 failed: {path}{cause}" in caplog.text
+
     def test_external_header_only_file_partial_exit_4(self, tmp_path, caplog):
         graph = write_graph(tmp_path, "g.txt", [(0, 1), (0, 2), (1, 2), (0, 3)])
         ext = tmp_path / "ext"
@@ -399,6 +424,18 @@ class TestStable:
             assert main(["stable", "--graph", graph, "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 0
         assert any("alpha=0" in r.message for r in caplog.records)
+
+    def test_saturated_run_warns_exit_0(self, tmp_path, caplog):
+        g = desk_graph()
+        graph = write_graph(tmp_path, "desk.txt",
+                            [tuple(e) for e in g.edges.tolist()])
+        cfg = write_json(tmp_path, "cfg.json",
+                         {"base": "laplacian_eigenmaps", "dim": 3,
+                          "batches": 2, "alpha": 1e6})
+        with caplog.at_level("WARNING"):
+            assert main(["stable", "--graph", graph, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert "training saturated" in caplog.text
 
     def test_rerun_identical(self, tmp_path):
         g = desk_graph()
@@ -633,6 +670,27 @@ class TestLinkpred:
                          "--embeddings", str(emb_path),
                          "--out", str(tmp_path / "o")]) == 2
         assert f"{emb_path}: {cause}" in caplog.text
+
+    @pytest.mark.parametrize("fault,cause", [
+        ({0: "id,e0"}, ": missing node_id header"),
+        ({3: "", 4: "4"}, ":5: expected 2 columns"),
+        ({6: "6,abc"}, ":7: could not convert string to float: 'abc'"),
+        ({2: "x,0.5"}, ":3: invalid literal for int()"),
+        ({35: "1,0.25"}, ":36: node id 1 repeats line 2")],
+        ids=["header", "short_row_after_blank", "cell", "id", "repeated_id"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, karate_file,
+                                               caplog, fault, cause):
+        # a valid file for all 34 karate ids, with one line changed or added
+        lines = ["node_id,e0", *(f"{i},0.5" for i in range(1, 35))]
+        for ln, text in fault.items():
+            lines[ln:ln + 1] = [text]
+        emb_path = tmp_path / "emb.csv"
+        emb_path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            assert main(["linkpred", "--graph", karate_file,
+                         "--embeddings", str(emb_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"{emb_path}{cause}" in caplog.text
 
 
 class TestRegress:

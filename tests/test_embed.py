@@ -13,7 +13,7 @@ from corestab.embed import (_CHUNK, _DENSE_MAX_N, AliasTable,
                             EigensolverError, EmbedSpec, _line_step,
                             _SGDWorkspace, _shifted, apply_coefficients,
                             laplacian_eigenmaps, line1_embed,
-                            line_negative_coefficient,
+                            line_base_loss, line_negative_coefficient,
                             line_positive_coefficient, load_embedding_csv,
                             save_embedding_binary, save_embedding_csv)
 from corestab.graph import Graph
@@ -171,6 +171,8 @@ class TestLaplacianEigenmaps:
     def test_isolated_rejected(self):
         with pytest.raises(ValueError, match="isolated"):
             laplacian_eigenmaps(Graph(3, [[0, 1]]), 1)
+        with pytest.raises(ValueError, match="the empty graph"):
+            laplacian_eigenmaps(Graph(0, []), 1)
 
     def test_deterministic(self, karate):
         a = laplacian_eigenmaps(karate, 5, seed=3)
@@ -548,6 +550,11 @@ class TestLine1:
     def test_zero_edge_graph_rejected(self):
         with pytest.raises(ValueError):
             line1_embed(Graph(3, []), EmbedSpec("line1", 2))
+        # no edge, no loss term
+        assert line_base_loss(Graph(3, []), np.ones((3, 2))) == 0.0
+        with pytest.raises(ValueError, match="expected 'line1'"):
+            line1_embed(Graph(2, [[0, 1]]),
+                        EmbedSpec("laplacian_eigenmaps", 1))
 
     def test_clique_structure_found(self):
         g = two_cliques_bridged()
@@ -669,14 +676,15 @@ class TestScatterAdd:
         {3: np.array([0, 1], np.int32)}, {3: np.array([1, 1, 2], np.int32)},
         {1: np.array([1.0])}, {4: np.ones((2, 2))},
         {2: np.array([0, 4], np.int32)}, {2: np.array([-1, 3], np.int32)},
-        {3: np.array([0, 2, 1], np.int32)}],
+        {3: np.array([0, 2, 1], np.int32)}, {1: np.ones((2, 1))}],
         ids=["fortran", "sliced", "float32", "sliced_gathered", "int64_rows",
              "int64_indptr", "short_indptr", "offset_indptr", "short_data",
-             "width", "row_past_end", "negative_row", "falling_indptr"])
+             "width", "row_past_end", "negative_row", "falling_indptr",
+             "2d_data"])
     def test_rejects_what_it_cannot_write_in_place(self, bad):
         # Fortran-ordered, sliced and float32 embeddings, a sliced gathered
-        # block, int64 indices, a short, offset or falling indptr, short
-        # data, a width mismatch and rows outside the embedding: each
+        # block, int64 indices, a short, offset or falling indptr, short or
+        # 2-D data, a width mismatch and rows outside the embedding: each
         # raises, and the embedding is left untouched
         args = list(self.valid_args())
         for i, a in bad.items():
@@ -816,6 +824,8 @@ class TestEmbedSpecDict:
             EmbedSpec("line1", 2)
 
     def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'line2'"):
+            EmbedSpec.from_dict({"algorithm": "line2", "dim": 2})
         with pytest.raises(ValueError,
                            match=r"unknown keys: \['zz'\]"):
             EmbedSpec.from_dict({"algorithm": "line1", "dim": 2, "zz": 1})

@@ -49,6 +49,12 @@ class TestMakeSplit:
         g = Graph(2, [[0, 1]])
         with pytest.raises(ValueError, match="withhold"):
             make_split(g, 0.5, seed=0)
+        with pytest.raises(ValueError, match="could only withhold 0/1"):
+            make_split(g, 0.9, seed=0)
+        # a clique has no non-edge to sample as a negative
+        k4 = Graph(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+        with pytest.raises(ValueError, match="too dense"):
+            make_split(k4, 0.2, seed=0)
 
     def test_bad_fraction(self, karate):
         with pytest.raises(ValueError):
@@ -90,6 +96,9 @@ class TestRankAuc:
             ranks = rankdata(scores)
             expected = float((ranks[:p].sum() - p * (p + 1) / 2.0) / (p * n))
             assert rank_auc(scores[:p], scores[p:]) == expected
+        for pos, neg in (([], [0.5]), ([0.5], [])):
+            with pytest.raises(ValueError, match="need both"):
+                rank_auc(pos, neg)
 
 
 class TestEvaluate:

@@ -138,21 +138,29 @@ class TestLoadEdgeList:
         import tracemalloc
         # 200 000 lines of two ids below 10^6: the loader peaks near 18
         # times the text, and a uint64 matrix of 19 digit places per id
-        # token alone would take 22 times the text
+        # token alone would take 22 times the text.  With a weight on every
+        # line only the weight tokens become strings, so per character of
+        # text the peak is at most a quarter higher
         rng = np.random.default_rng(5)
         u = rng.integers(0, 10 ** 6, size=200_000)
         v = (u + rng.integers(1, 10 ** 6, size=len(u))) % 10 ** 6
-        text = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
-        path = write(tmp_path, text)
-        tracemalloc.start()
-        try:
-            g = load_edge_list(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * len(text)
-        assert g.m == len(set(zip(np.minimum(u, v).tolist(),
-                                  np.maximum(u, v).tolist())))
+        per_char = {}
+        for suffix in ("", " 0.5"):
+            text = "".join(f"{a} {b}{suffix}\n"
+                           for a, b in zip(u.tolist(), v.tolist()))
+            path = write(tmp_path, text)
+            tracemalloc.start()
+            try:
+                g = load_edge_list(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_char[suffix] = peak / len(text)
+            assert g.m == len(set(zip(np.minimum(u, v).tolist(),
+                                      np.maximum(u, v).tolist())))
+            assert set(g.weights.tolist()) == {float(suffix or 1)}
+        assert per_char[""] < 24
+        assert per_char[" 0.5"] <= 1.25 * per_char[""]
 
     def test_indented_comment(self, tmp_path):
         g = load_edge_list(write(tmp_path,
@@ -212,20 +220,31 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, text))
 
     def test_matches_line_oracle_on_random_files(self, tmp_path):
+        # tokens are separated by characters str.split() separates at, and
+        # weights take the forms float() reads (underscores, exponents,
+        # signs, non-ASCII digits): each weight lands on its own edge
+        seps = [" ", "\t", "\x0b", "\x1f", "\x85", "\xa0", "\u2003",
+                "\u2028", "\u3000", " \u3000\t"]
+        forms = ["1_0.5", "1e-3", "+2", ".25", "7.", "\u0663.\u0665",
+                 "\uff11\uff12", "0", "1e300"]
         rng = np.random.default_rng(11)
         for _ in range(20):
             lines = []
             for _ in range(int(rng.integers(0, 300))):
                 u, v = rng.integers(0, 40, size=2) * 1000003
+                a, b, c = (seps[i] for i in rng.integers(0, len(seps), 3))
                 r = rng.random()
                 if r < 0.05:
-                    lines.append(" # comment")
+                    lines.append(f"{a}# comment")
                 elif r < 0.1:
                     lines.append("")
+                elif r < 0.3:
+                    lines.append(f"{u}{a}{v}{b}{rng.exponential():.6g}")
                 elif r < 0.5:
-                    lines.append(f"{u}\t{v} {rng.exponential():.6g}")
+                    w = forms[int(rng.integers(0, len(forms)))]
+                    lines.append(f"{c}{u}{a}{v}{b}{w}{c}")
                 else:
-                    lines.append(f" {u} {v}")
+                    lines.append(f"{c}{u}{a}{v}")
             path = write(tmp_path, "\r\n".join(lines))
             g = load_edge_list(path)
             ids, edges = edge_list_oracle(path)
@@ -239,6 +258,15 @@ class TestGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(2, [[0, 0]])
+        # and every other malformed argument, by name
+        for args, match in (
+                ((2, [[0, 1]], [1.0, 2.0]), "weights and edges length"),
+                ((2, [[0, 2]]), "outside 0..n-1"),
+                ((2, [[-1, 1]]), "outside 0..n-1"),
+                ((2, [[0, 1]], [-0.5]), "negative edge weight"),
+                ((2, [[0, 1]], None, [7]), "orig_ids length")):
+            with pytest.raises(ValueError, match=match):
+                Graph(*args)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,9 @@ class TestPairwiseDistribution:
     def test_core_too_small(self):
         with pytest.raises(ValueError):
             pairwise_distribution(np.zeros((3, 2)), [1])
+        for core in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="outside embedding rows"):
+                pairwise_distribution(np.zeros((3, 2)), core)
 
     def test_cosine_metric(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -150,6 +153,11 @@ class TestRunShare:
             run_share(g, embedder, seed=2)
         assert info.value.k == 4
         assert [r.k for r in info.value.partial.records] == [0, 1]
+        # a matrix with a row too few fails its shell the same way
+        with pytest.raises(ShareEmbedderError,
+                           match="returned 13 rows for 14-node") as info:
+            run_share(g, lambda sub, seed, k: np.ones((sub.n - 1, 2)))
+        assert info.value.k == 0 and info.value.partial.records == []
 
     def test_one_thread_runs_shells_in_calling_thread(self):
         import threading

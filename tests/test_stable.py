@@ -253,6 +253,8 @@ class TestStableConfig:
             StableConfig(base="line1", alpha=-1)
         with pytest.raises(ValueError):
             StableConfig(base="laplacian_eigenmaps", gamma=0.0)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            StableConfig(base="laplacian_eigenmaps", beta=-0.1)
         # the SGD fields are checked by the EmbedSpec the config trains with
         for bad in ({"negatives": 0}, {"dim": 0}, {"lr": 0.0},
                     {"batches": 0}):
@@ -399,6 +401,29 @@ class TestStableTrain:
         after = instability_penalty(result.embeddings, result.isolated_core,
                                     result.core_nodes)
         assert after < before
+
+    def test_saturation_warns_once_and_convergence_stays_quiet(self,
+                                                               caplog):
+        g = desk_graph()
+        # a penalty step scaled by lr * alpha = 25 000 pushes the core dot
+        # products to where the sigmoid is flat: the gaps stay near 0.5
+        saturating = StableConfig("laplacian_eigenmaps", dim=3, batches=2,
+                                  alpha=1e6)
+        with caplog.at_level("WARNING", logger="corestab.stable"):
+            result = stable_train(g, saturating, seed=0)
+        per_pair = result.stability_loss[-1] / 45  # 10 core nodes
+        assert per_pair > 0.2
+        warned = [r.getMessage() for r in caplog.records
+                  if "saturated" in r.getMessage()]
+        assert warned == [f"training saturated: the final penalty is "
+                          f"{per_pair:.3g} per core pair (RMS proximity gap "
+                          f"{np.sqrt(per_pair):.3g}, above 0.2)"]
+        caplog.clear()
+        converging = StableConfig("line1", dim=4, batches=50)
+        with caplog.at_level("WARNING", logger="corestab.stable"):
+            result = stable_train(g, converging, seed=0)
+        assert result.stability_loss[-1] / 45 < 0.01
+        assert not caplog.records
 
     def test_divergence_aborts_with_batch_index(self):
         g = desk_graph()

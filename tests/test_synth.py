@@ -22,6 +22,8 @@ class TestGenSpec:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             GenSpec("bter", 100, p=0.5)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            GenSpec("er", 0, p=0.5)
 
     def test_roundtrip(self):
         spec = GenSpec("er", 10, p=0.3)
