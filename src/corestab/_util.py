@@ -51,6 +51,8 @@ _P_OFF, _P_HI, _P_LO, _P_HH, _P_HL = _pow10_table()
 _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4,
                               indexing="ij"), axis=-1).view(np.uint32).ravel()
 _KEEP = np.where(np.arange(17) < np.arange(18)[:, None], 255, 0).astype(np.uint8)
+# the bytes that make write_csv quote a text cell: comma, '"', CR and LF
+_QUOTED = np.isin(np.arange(256), list(b',"\r\n'))
 
 
 def derive_seed(*parts):
@@ -149,6 +151,15 @@ def json_fields(cls, d, strict=True):
         if want:
             raise ValueError(f"key {name!r} must be {want}, got {d[name]!r}")
     return {name: d[name] for name in known if name in d}
+
+
+def read_text(path):
+    """The text of ``path`` as UTF-8 with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def sha256_file(path):
@@ -283,14 +294,25 @@ def _float_cells(x):
     return out
 
 
-def _cells(block):
-    """One column's cells as a zero-padded uint8 matrix, one row per cell."""
+def _cells(block, name):
+    """The cells of column ``name`` as a zero-padded uint8 matrix, one row
+    per cell.  A text cell that holds a comma, a double quote, CR or LF is
+    quoted as RFC 4180 asks, its quotes doubled; a NUL byte is refused."""
     if isinstance(block, np.ndarray) and block.dtype == np.float64:
         return _float_cells(block)
     if isinstance(block, np.ndarray):
         block = block.tolist()
-    text = np.array([str(v).encode() for v in block], dtype="S")
-    return text.view(np.uint8).reshape(len(text), -1)
+    raw = [str(v).encode() for v in block]
+    # the matrix pads with zero bytes, so a NUL in a cell would vanish
+    if b"\0" in b"".join(raw):
+        raise ValueError(f"column {name!r}: a cell holds a NUL byte")
+    text = np.array(raw, dtype="S")
+    hit = _QUOTED.take(text.view(np.uint8)).reshape(len(raw), -1)
+    if hit.any():
+        for i in np.flatnonzero(hit.any(axis=1)).tolist():
+            raw[i] = b'"' + raw[i].replace(b'"', b'""') + b'"'
+        text = np.array(raw, dtype="S")
+    return text.view(np.uint8).reshape(len(raw), -1)
 
 
 def write_csv(path, header, columns):
@@ -301,11 +323,12 @@ def write_csv(path, header, columns):
     header name.  Every cell is written as ``str`` writes it, which gives a
     float, Python or numpy, as ``repr``: its shortest round-trip form.  A
     float64 array goes through ``_float_cells``, byte-identical to ``repr``;
-    anything else is written cell by cell.  Rows go out in pieces of
+    anything else is written cell by cell, quoted as RFC 4180 asks where it
+    holds a comma, a double quote, CR or LF.  Rows go out in pieces of
     ``_PIECE_ROWS``: each column becomes a zero-padded byte matrix, the
     matrices are joined with comma and newline columns, and one mask drops
-    the padding, so a cell may not contain a NUL byte.  A large table is
-    never one string in memory.
+    the padding, so a cell that holds a NUL byte raises ValueError naming
+    its column.  A large table is never one string in memory.
     """
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
@@ -318,8 +341,8 @@ def write_csv(path, header, columns):
             hi = min(lo + _PIECE_ROWS, n)
             sep = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
             parts = []
-            for col in columns:
-                parts += [_cells(col[lo:hi]), sep]
+            for name, col in zip(header, columns):
+                parts += [_cells(col[lo:hi], name), sep]
             parts[-1] = np.full_like(sep, ord("\n"))
             table = np.concatenate(parts, axis=1)
             yield table[table != 0].tobytes()

@@ -22,7 +22,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from ._util import json_dumps_stable, sha256_file, write_atomic, write_csv
+from ._util import (json_dumps_stable, read_text, sha256_file, write_atomic,
+                    write_csv)
 from .embed import (EigensolverError, EmbedSpec, load_embedding_csv,
                     save_embedding_binary, save_embedding_csv)
 from .evaluation import evaluate, make_split, stability_error_distribution
@@ -46,22 +47,23 @@ _FEATURE_FIELDS = [f.name for f in fields(SubgraphFeatures)]
 def _load_json(path, cls):
     """``cls.from_dict`` of the JSON file at ``path``; a ValueError names
     the file."""
+    text = read_text(path)
     try:
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.loads(text))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_manifest(args, config, seed, inputs):
     """``manifest.json`` in ``args.out`` for the command ``args.command``,
-    timed from ``args.started``."""
+    timed from ``args.started``; ``input_hashes`` is keyed by each input's
+    path as given."""
     manifest = {
         "schema_version": 1,
         "command": args.command,
         "config": config,
         "seed": seed,
-        "input_hashes": {os.path.basename(p): sha256_file(p) for p in inputs},
+        "input_hashes": {p: sha256_file(p) for p in inputs},
         "tool_version": __version__,
         "wall_time_s": time.time() - args.started,
     }
@@ -101,26 +103,10 @@ def cmd_kcore(args):
     return EXIT_OK
 
 
-def _load_embedding_rows(path, orig_ids):
-    """Rows of the embedding CSV at ``path`` in ``orig_ids`` order; a file
-    with a non-finite row is refused."""
-    ids, emb = load_embedding_csv(path)
-    bad = np.flatnonzero(~np.isfinite(emb).all(axis=1))
-    if len(bad):
-        raise ValueError(f"{path}: non-finite row for node id {ids[bad[0]]}")
-    lookup = {int(i): r for r, i in enumerate(ids)}
-    try:
-        return emb[[lookup[int(o)] for o in orig_ids]]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing node id {exc}") from exc
-
-
 def _external_embedder(directory):
     def run(subgraph, seed, k):
         path = os.path.join(directory, f"embeddings_k{k}.csv")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no external embedding file {path}")
-        return _load_embedding_rows(path, subgraph.orig_ids)
+        return load_embedding_csv(path, subgraph.orig_ids)
 
     return run
 
@@ -202,7 +188,7 @@ def cmd_stable(args):
 
 def cmd_linkpred(args):
     g = load_edge_list(args.graph)
-    emb = _load_embedding_rows(args.embeddings, g.orig_ids)
+    emb = load_embedding_csv(args.embeddings, g.orig_ids)
     split = make_split(g, args.fraction, args.seed)
     scores = evaluate(emb, split)
     os.makedirs(args.out, exist_ok=True)

@@ -14,7 +14,8 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from ._util import json_fields, sigmoid, write_atomic, write_csv
+from ._util import json_fields, read_text, sigmoid, write_atomic, write_csv
+from .graph import id_fault
 
 log = logging.getLogger(__name__)
 
@@ -462,40 +463,43 @@ def save_embedding_csv(path, emb, orig_ids):
               [np.asarray(orig_ids, dtype=np.int64), *emb.T])
 
 
-def load_embedding_csv(path):
-    """Node ids and rows of an embedding CSV.  A file without the
-    ``node_id`` header, embedding columns or rows raises ValueError naming
-    it; a row of the wrong length, a cell that is not a number or a node id
-    listed a second time raises one naming the file and the line."""
-    rows = []
-    line_of = {}  # node id -> the line that listed it, in file order
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "node_id":
-            raise ValueError(f"{path}: missing node_id header")
-        dim = len(header) - 1
-        if dim < 1:
-            raise ValueError(f"{path}: no embedding columns")
-        for ln, line in enumerate(fh, start=2):
-            s = line.strip()
-            if not s:
-                continue
-            parts = s.split(",")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{ln}: expected {dim + 1} columns")
-            try:
-                node = int(parts[0])
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-            if node in line_of:
-                raise ValueError(f"{path}:{ln}: node id {node} repeats line "
-                                 f"{line_of[node]}")
-            line_of[node] = ln
-    if not rows:
+def load_embedding_csv(path, orig_ids):
+    """The rows of the embedding CSV at ``path`` for the node ids
+    ``orig_ids``, in that order; ids follow the edge list's rule.  A
+    ValueError names the file, and the line for a row of the wrong length,
+    a bad id or cell, or a node id listed a second time."""
+    header, *lines = map(str.strip, read_text(path).split("\n"))
+    header = header.split(",")
+    if header[0] != "node_id":
+        raise ValueError(f"{path}: missing node_id header")
+    if len(header) < 2:
+        raise ValueError(f"{path}: no embedding columns")
+    found = {}  # node id -> (the line that listed it, its row)
+    for ln, s in enumerate(lines, start=2):
+        if not s:
+            continue
+        parts = s.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}:{ln}: expected {len(header)} columns")
+        if cause := id_fault(parts[0].strip()):
+            raise ValueError(f"{path}:{ln}: {cause} in {s!r}")
+        try:
+            node, row = int(parts[0]), [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+        if node in found:
+            raise ValueError(f"{path}:{ln}: node id {node} repeats line "
+                             f"{found[node][0]}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: non-finite row for node id {node}")
+        found[node] = ln, row
+    if not found:
         raise ValueError(f"{path}: no embedding rows")
-    return (np.array(list(line_of), dtype=np.int64),
-            np.array(rows, dtype=np.float64))
+    try:
+        rows = [found[int(o)][1] for o in orig_ids]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing node id {exc}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, len(header) - 1)
 
 
 def save_embedding_binary(path, emb):

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import read_text
+
 log = logging.getLogger(__name__)
 
 
@@ -148,8 +150,8 @@ def _read_ids(codes, starts, ends):
     Horner's rule runs over the last ``_ID_DIGITS`` digit places of every
     token at once, right-aligned, so a token's places before its start read
     as 0; a longer token is valid only when its extra leading places are
-    all ``0``.  Raises ValueError when a token is not ASCII digits or
-    exceeds 2^63 - 1.
+    all ``0``.  This is the array form of ``id_fault``: a token it faults
+    raises ValueError.
     """
     acc = np.zeros(starts.shape, dtype=np.uint64)
     bad = np.zeros(starts.shape, dtype=bool)
@@ -225,8 +227,7 @@ def load_edge_list(path):
     token bounds, and go through ``float`` by one numpy cast.
     So no Python code runs per unweighted edge, and memory stays O(text).
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         ids, weights = _parse(text)
     except ValueError:
@@ -250,6 +251,16 @@ def load_edge_list(path):
                  weights[~loop][last], orig)
 
 
+def id_fault(token):
+    """Why ``token`` is no node id (ASCII digits up to 2^63 - 1), or None."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return "non-integer node id"
+    if digits != token:
+        return "negative node id" if int(digits) else "non-integer node id"
+    return "node id above 2^63 - 1" if int(digits) >= 2 ** 63 else None
+
+
 def _first_fault(path, text):
     """The error message for the first malformed line of ``text``."""
     for ln, line in enumerate(text.split("\n"), start=1):
@@ -259,17 +270,8 @@ def _first_fault(path, text):
         parts = s.split()
         if len(parts) not in (2, 3):
             return f"{path}:{ln}: expected 'u v' or 'u v w', got {s!r}"
-        # ids are ASCII digits only: no sign, "_", or non-ASCII digit
-        digits = [p.removeprefix("-") for p in parts[:2]]
-        if not all(d.isascii() and d.isdigit() for d in digits):
-            return f"{path}:{ln}: non-integer node id in {s!r}"
-        u, v = map(int, parts[:2])
-        if u < 0 or v < 0:
-            return f"{path}:{ln}: negative node id in {s!r}"
-        if digits != parts[:2]:  # a sign on a zero id
-            return f"{path}:{ln}: non-integer node id in {s!r}"
-        if max(u, v) >= 2 ** 63:
-            return f"{path}:{ln}: node id above 2^63 - 1 in {s!r}"
+        if cause := id_fault(parts[0]) or id_fault(parts[1]):
+            return f"{path}:{ln}: {cause} in {s!r}"
         if len(parts) == 3:
             try:
                 w = float(parts[2])

@@ -46,6 +46,13 @@ KARATE_EDGES = [
     (33, 34),
 ]
 
+# node id tokens that int() reads, or that a sloppy digit check passes, but
+# the id rule refuses as a non-integer node id in edge lists and embedding
+# CSVs alike
+NON_INTEGER_IDS = [
+    "+5", "1_0", "1_000", ":1", "\u0663", "\uff11", "-0", "5.", "0x1",
+    "x" + "0" * 19 + "1", "0" * 10 + "\uff11" + "0" * 10]
+
 
 @pytest.fixture(scope="session")
 def karate():
@@ -105,12 +112,22 @@ def read_json(*path):
     return json.loads(read_text(*path))
 
 
+def _csv_cell(value):
+    """``str(value)``, in double quotes with its quotes doubled when it
+    holds a comma, a double quote, CR or LF (RFC 4180)."""
+    s = str(value)
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def write_csv_oracle(path, header, columns):
     """The cell-by-cell writer ``write_csv`` must match byte for byte: a
-    header line, then each row's cells by ``str``, joined by commas."""
+    header line, then each row's cells by ``str``, quoted where RFC 4180
+    asks, joined by commas."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     text = ",".join(header) + "\n" + "".join(
-        ",".join(map(str, row)) + "\n" for row in zip(*cols))
+        ",".join(map(_csv_cell, row)) + "\n" for row in zip(*cols))
     with open(path, "wb") as fh:
         fh.write(text.encode())
 

@@ -1,8 +1,11 @@
 import csv
+import glob
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +125,29 @@ class TestKcore:
         main(["kcore", "--graph", graph, "--out", out])
         manifest = read_json(out, "manifest.json")
         assert manifest["command"] == "kcore"
-        assert "tri.txt" in manifest["input_hashes"]
+        assert graph in manifest["input_hashes"]
+
+    @pytest.mark.parametrize("data,code", [
+        ("0\u30001\n1\u30002\n2\u30000\n".encode("utf-8"), 0),
+        (b"\xff0 1\n", 2)], ids=["ideographic_spaces", "undecodable"])
+    def test_graph_read_as_utf8_under_c_locale(self, tmp_path, data, code):
+        # the C locale without UTF-8 mode makes ASCII the default encoding
+        graph = tmp_path / "g.txt"
+        graph.write_bytes(data)
+        src = os.path.dirname(os.path.dirname(corestab.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0", PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "corestab.cli", "kcore", "--graph",
+             str(graph), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, errors="replace")
+        assert done.returncode == code, done.stderr
+        if code:
+            assert f"{graph}: 'utf-8' codec can't decode byte 0xff" \
+                in done.stderr
+        else:
+            assert read_json(tmp_path / "o", "kcore_summary.json")["m"] == 3
 
 
 class TestShare:
@@ -614,6 +639,22 @@ class TestLinkpred:
         assert rows[0] == "graph,algorithm,variant,f1,auc"
         assert rows[1].startswith("cliques.txt,oracle,original")
 
+    def test_text_cells_with_commas_quoted(self, tmp_path):
+        # a graph file name and an --algorithm label that hold commas
+        graph = write_graph(tmp_path, "a,b.txt", KARATE_EDGES)
+        emb_path = str(tmp_path / "emb.csv")
+        save_embedding_csv(emb_path, np.random.default_rng(0).normal(
+            size=(34, 2)), range(1, 35))
+        out = str(tmp_path / "out")
+        assert main(["linkpred", "--graph", graph, "--embeddings", emb_path,
+                     "--algorithm", 'line1,v2 "b"', "--out", out]) == 0
+        with open(os.path.join(out, "results.csv"), newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["graph", "algorithm", "variant", "f1", "auc"]
+        assert rows[1][:3] == ["a,b.txt", 'line1,v2 "b"', "original"]
+        assert len(rows[1]) == 5
+
     def test_rerun_identical(self, tmp_path, karate_file):
         from corestab.graph import load_edge_list
         karate = load_edge_list(karate_file)
@@ -675,7 +716,7 @@ class TestLinkpred:
         ({0: "id,e0"}, ": missing node_id header"),
         ({3: "", 4: "4"}, ":5: expected 2 columns"),
         ({6: "6,abc"}, ":7: could not convert string to float: 'abc'"),
-        ({2: "x,0.5"}, ":3: invalid literal for int()"),
+        ({2: "x,0.5"}, ":3: non-integer node id"),
         ({35: "1,0.25"}, ":36: node id 1 repeats line 2")],
         ids=["header", "short_row_after_blank", "cell", "id", "repeated_id"])
     def test_malformed_row_names_file_and_line(self, tmp_path, karate_file,
@@ -752,6 +793,21 @@ class TestRegress:
         rows = read_text(out, "fits.csv").splitlines()
         assert rows[0].startswith("algorithm,dim,samples,feature")
         assert len(rows) == 1 + 5  # one row per coefficient
+
+    def test_manifest_hashes_every_report(self, tmp_path):
+        # the README's usage: one share_report.json per run directory
+        for i, run in enumerate("abc"):
+            (tmp_path / run).mkdir()
+            self._write_report(tmp_path / run, "share_report", 5,
+                               rng=np.random.default_rng(i))
+        pattern = str(tmp_path / "*" / "share_report.json")
+        out = str(tmp_path / "out")
+        assert main(["regress", "--reports", pattern, "--out", out]) == 0
+        hashes = read_json(out, "manifest.json")["input_hashes"]
+        paths = sorted(glob.glob(pattern))
+        assert len(paths) == 3
+        assert hashes == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                          for p in paths}
 
     def test_no_reports_exit_2(self, tmp_path):
         assert main(["regress", "--reports", str(tmp_path / "*.json"),

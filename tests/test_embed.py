@@ -16,14 +16,15 @@ from corestab.embed import (_CHUNK, _DENSE_MAX_N, AliasTable,
                             line_base_loss, line_negative_coefficient,
                             line_positive_coefficient, load_embedding_csv,
                             save_embedding_binary, save_embedding_csv)
-from corestab.graph import Graph
+from corestab.graph import Graph, GraphParseError, load_edge_list
 from corestab.stable import _le_step
 
-from conftest import (add_at_oracle, central_difference, clique_rw_spectrum,
-                      clique_spectrum_numeric, clique_spectrum_shift_oracle,
-                      cluster_eigenvalues, complete_graph, component_count,
-                      dense_eigenmaps_oracle, line_gradients, line_step_oracle,
-                      random_er, rayleigh_eigenvalues, rw_normalized_laplacian,
+from conftest import (NON_INTEGER_IDS, add_at_oracle, central_difference,
+                      clique_rw_spectrum, clique_spectrum_numeric,
+                      clique_spectrum_shift_oracle, cluster_eigenvalues,
+                      complete_graph, component_count, dense_eigenmaps_oracle,
+                      line_gradients, line_step_oracle, random_er,
+                      rayleigh_eigenvalues, rw_normalized_laplacian,
                       sigmoid_proximity)
 
 
@@ -841,9 +842,38 @@ class TestEmbeddingIO:
         ids = np.array([7, 3, 11, 0, 2])
         path = tmp_path / "emb.csv"
         save_embedding_csv(path, emb, ids)
-        got_ids, got = load_embedding_csv(path)
-        assert np.array_equal(got_ids, ids)
+        got = load_embedding_csv(path, ids)
         assert np.array_equal(got, emb)  # repr round-trips floats exactly
+        # rows come back in the order of the ids asked for
+        order = np.argsort(ids)
+        assert np.array_equal(load_embedding_csv(path, ids[order]),
+                              emb[order])
+        assert load_embedding_csv(path, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("token,cause", [
+        *((t, "non-integer node id") for t in NON_INTEGER_IDS),
+        ("-5", "negative node id"), ("9" * 20, "node id above 2^63 - 1")])
+    def test_ids_follow_the_edge_list_rule(self, tmp_path, token, cause):
+        # each token is refused with the cause the edge list gives it
+        line = f"{token},0.2"
+        path = tmp_path / "emb.csv"
+        path.write_text(f"node_id,e0\n0,0.1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: {cause} in {line!r}")):
+            load_embedding_csv(path, [0])
+        edges = tmp_path / "g.txt"
+        edges.write_text(f"{token} 1\n", encoding="utf-8")
+        with pytest.raises(GraphParseError, match=re.escape(
+                f":1: {cause} in ")):
+            load_edge_list(edges)
+
+    def test_ids_with_leading_zeros_read_as_in_edge_lists(self, tmp_path):
+        big = 2 ** 63 - 1
+        path = tmp_path / "emb.csv"
+        path.write_text(f"node_id,e0\n007,0.5\n{'0' * 30}42,1.5\n"
+                        f"{big} ,2.5\n")
+        got = load_embedding_csv(path, [42, big, 7])
+        assert got.ravel().tolist() == [1.5, 2.5, 0.5]
 
     def test_binary_roundtrip(self, tmp_path):
         emb = np.random.default_rng(4).normal(size=(6, 2))

@@ -11,8 +11,8 @@ from corestab.graph import (Graph, GraphParseError, core_decomposition,
 from corestab.share import run_share
 from corestab.stable import StableConfig, stable_train
 
-from conftest import (add_at_oracle, complete_graph, component_count,
-                      edge_list_oracle, edge_loop_features,
+from conftest import (NON_INTEGER_IDS, add_at_oracle, complete_graph,
+                      component_count, edge_list_oracle, edge_loop_features,
                       kcore_features_oracle, naive_coreness, neighbors,
                       random_er)
 
@@ -112,17 +112,32 @@ class TestLoadEdgeList:
         g = load_edge_list(write(tmp_path, f"0 {2**63 - 1}\n"))
         assert g.orig_ids.tolist() == [0, 2**63 - 1]
 
-    @pytest.mark.parametrize("token", [
-        "+5", "1_000", ":1", "\u0663", "\uff11", "-0", "5.", "0x1",
-        "x" + "0" * 19 + "1", "0" * 10 + "\uff11" + "0" * 10])
+    @pytest.mark.parametrize("token", NON_INTEGER_IDS)
     def test_id_is_ascii_digits_only(self, tmp_path, token):
         # int() takes "+5", "1_000", "-0" and the lone non-ASCII digits;
-        # the loader refuses every one of these tokens
+        # the loader refuses every one of these tokens (the embedding CSV
+        # reader too: test_embed.py)
         for line in (f"{token} 1", f"1 {token}"):
             with pytest.raises(GraphParseError,
                                match=rf":2: non-integer node id in "
                                      rf"{re.escape(repr(line))}"):
                 load_edge_list(write(tmp_path, f"0 1\n{line}\n"))
+
+    @pytest.mark.parametrize("token", [
+        *NON_INTEGER_IDS, "0", "007", "0" * 30 + "42", "-5", "-007",
+        str(2 ** 63 - 1), str(2 ** 63), "9" * 20, "0" * 5 + str(2 ** 63)])
+    def test_id_fault_is_the_rule_of_the_array_reader(self, token):
+        # _first_fault words the cause with id_fault, while _parse reads ids
+        # with _read_ids: both must accept the same tokens
+        codes = np.frombuffer(token.encode("utf-32-le"), dtype=np.uint32)
+        bounds = np.array([0]), np.array([len(codes)])
+        try:
+            got = int(graph_mod._read_ids(codes, *bounds)[0])
+        except ValueError:
+            got = None
+        assert (got is None) == (graph_mod.id_fault(token) is not None)
+        if got is not None:
+            assert got == int(token)
 
     def test_leading_zeros_are_kept(self, tmp_path):
         big = 2 ** 63 - 1

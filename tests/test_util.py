@@ -1,11 +1,14 @@
+import csv
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from corestab._util import _PIECE_ROWS, sigmoid, write_atomic, write_csv
+from corestab._util import (_PIECE_ROWS, read_text as read_utf8, sigmoid,
+                            write_atomic, write_csv)
 
 from conftest import read_text, write_csv_oracle
 
@@ -185,6 +188,50 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="equal-length columns"):
             write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
         assert os.listdir(tmp_path) == []
+
+
+    def test_text_cells_quoted_as_rfc_4180(self, tmp_path):
+        # a cell with a comma, a quote, CR or LF, in the first piece and
+        # in the second, read back by the csv module
+        special = ["a,b", 'say "hi"', "cr\rlf\n", '"', ",", "\u00e9,\u3000"]
+        n = _PIECE_ROWS + len(special)
+        text = [f"s{i}" for i in range(n)]
+        for j, cell in enumerate(special):
+            text[j] = text[_PIECE_ROWS + j] = cell
+        columns = [text, np.arange(n), np.linspace(0.0, 1.0, n)]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["text", "i", "x"], columns)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["text", "i", "x"]
+        assert [r[0] for r in rows[1:]] == text
+        assert {len(r) for r in rows} == {3}
+        write_csv_oracle(tmp_path / "oracle.csv", ["text", "i", "x"],
+                         columns)
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", ["x\0y", "xy\0", "\0"])
+    def test_nul_byte_refused_naming_column(self, tmp_path, cell):
+        with pytest.raises(ValueError, match=re.escape(
+                "column 'name': a cell holds a NUL byte")):
+            write_csv(tmp_path / "t.csv", ["i", "name"],
+                      [[1, 2], ["ok", cell]])
+        assert os.listdir(tmp_path) == []
+
+
+class TestReadText:
+    def test_utf8_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("0\u30001\r\n\u00e9\rz\n".encode("utf-8"))
+        assert read_utf8(path) == "0\u30001\n\u00e9\nz\n"
+
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                "position 3")):
+            read_utf8(path)
 
 
 class TestWriteAtomic:
